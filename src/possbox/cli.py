@@ -263,6 +263,9 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-classes", args.max_classes), ("--grid", args.grid)):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be at least 1 (got {value})")
     report = run_suite(args.suite, args.max_classes, args.grid)
     payload = {
         "suite": report.suite,

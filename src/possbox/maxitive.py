@@ -64,7 +64,10 @@ def zero_one_profile(box: PBox) -> ZeroOneProfile:
         upper_zero_end += 1
     lower_is_01 = all(v == ZERO or v == ONE for v in box.lower_cdf)
     upper_is_01 = all(v == ZERO or v == ONE for v in box.upper_cdf)
-    assert upper_zero_end <= lower_zero_end
+    if upper_zero_end > lower_zero_end:
+        raise ValueError(
+            f"lower cumulative vector exceeds the upper one at class {lower_zero_end + 1}"
+        )
     return ZeroOneProfile(lower_zero_end, upper_zero_end, lower_is_01, upper_is_01)
 
 

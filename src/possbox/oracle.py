@@ -3,9 +3,17 @@
 Everything in this module deliberately avoids the closed-form machinery of
 :mod:`possbox.pbox`.  A probability box is read as nothing more than a list
 of linear constraints on a probability mass function, and event bounds are
-obtained by maximizing with an exact rational simplex (Bland's rule, no
-floating point anywhere).  The verification suites compare these optima
-against the formula route; a disagreement means one side is wrong.
+obtained by maximizing with an exact simplex (Bland's rule, no floating
+point anywhere).  The verification suites compare these optima against the
+formula route; a disagreement means one side is wrong.
+
+The simplex runs on an integer tableau: each row is scaled to integers and
+pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
+integer numerator over one common denominator and no ``Fraction`` is built
+until the optimum is returned.  Callers ask many objectives over one
+region (every event of one box), so the feasible basis found by phase 1 is
+kept for the last :data:`PHASE_ONE_MEMO_SIZE` regions and each call runs
+phase 2 alone from a copy of it.
 
 Masses live on quotient classes: within a class, mass can sit on any
 element, so a class intersecting the target event contributes in full.  The
@@ -17,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from possbox.chain import Label
 from possbox.pbox import PBox
@@ -26,128 +35,215 @@ from possbox.rationals import ONE, ZERO
 
 Row = tuple[Sequence[Fraction], str, Fraction]
 
+#: Regions whose phase-1 result is kept, most recently solved first.  Two
+#: covers :func:`credal_intersection_equal`, which alternates between the
+#: box's rows and the possibility rows; a sweep moves to a new region with
+#: each box, so a larger memo would keep nothing a later call asks for.
+PHASE_ONE_MEMO_SIZE = 2
+
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+
 
 class Infeasible(Exception):
     """The linear system has no feasible point."""
+
+
+class _Start(NamedTuple):
+    """A feasible basis of one region: the phase-2 starting point.
+
+    ``rows`` are integer numerators over the common denominator ``d > 0``,
+    artificial columns removed, the right-hand side last; ``width`` counts
+    the structural and slack columns.  Rows are never mutated in place, so
+    a copy of the outer sequence is a copy of the tableau.
+    """
+
+    rows: tuple[list[int], ...]
+    basis: tuple[int, ...]
+    d: int
+    width: int
+
+
+_phase_one_memo: list[tuple[tuple, _Start | None]] = []
 
 
 def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[object]) -> Fraction:
     """Maximize ``objective . x`` over ``x >= 0`` subject to ``constraints``.
 
     ``constraints`` are ``(coefficients, sense, rhs)`` with sense one of
-    ``"<="``, ``">="``, ``"=="``.  Exact rational two-phase simplex with
-    Bland's anti-cycling rule.  Assumes a bounded optimum (every system in
-    this module lives inside the probability simplex).
+    ``"<="``, ``">="``, ``"=="``; coefficients are anything
+    :class:`~fractions.Fraction` accepts.  Exact two-phase simplex with
+    Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
+    runs once per region while the region is among the last
+    :data:`PHASE_ONE_MEMO_SIZE` asked for; an infeasible region raises
+    :class:`Infeasible` on every call.  A constraint or objective wider than
+    ``num_vars`` raises ``ValueError``.  Assumes a bounded optimum (every
+    system in this module lives inside the probability simplex) and raises
+    ``ArithmeticError`` otherwise.
     """
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    key = (num_vars, tuple((tuple(coeffs), sense, rhs) for coeffs, sense, rhs in constraints))
+    costs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in objective]
+    if len(costs) > num_vars:
+        raise ValueError("objective width exceeds the variable count")
+    start = _phase_one(key)
+    if start is None:
+        raise Infeasible
+    scale = lcm(*(c.denominator for c in costs))
+    cost = [c.numerator * (scale // c.denominator) for c in costs]
+    cost += [0] * (start.width - len(cost))
+    tableau = list(start.rows)
+    basis = list(start.basis)
+    tableau.append(_objective_row(tableau, basis, cost, start.d))
+    d = _bland(tableau, basis, start.d)
+    return Fraction(tableau[-1][-1], d * scale)
+
+
+def _phase_one(key: tuple) -> _Start | None:
+    """The memoised feasible basis of a region, or ``None`` if it is empty."""
+    for cached, start in _phase_one_memo:
+        if cached == key:
+            return start
+    start = _solve_phase_one(*key)
+    _phase_one_memo.insert(0, (key, start))
+    del _phase_one_memo[PHASE_ONE_MEMO_SIZE:]
+    return start
+
+
+def _solve_phase_one(num_vars: int, constraints: tuple) -> _Start | None:
+    scaled: list[tuple[list[int], str, int]] = []
     for coeffs, sense, rhs in constraints:
+        if len(coeffs) != num_vars:
+            raise ValueError("constraint width does not match the variable count")
+        if sense not in _FLIPPED:
+            raise ValueError(f"unknown constraint sense {sense!r}")
         row = [Fraction(c) for c in coeffs]
         rhs = Fraction(rhs)
-        if len(row) != num_vars:
-            raise ValueError("constraint width does not match the variable count")
         if rhs < 0:
             row = [-c for c in row]
             rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        rows.append((row, sense, rhs))
+            sense = _FLIPPED[sense]
+        scale = lcm(rhs.denominator, *(c.denominator for c in row))
+        ints = [c.numerator * (scale // c.denominator) for c in row]
+        scaled.append((ints, sense, rhs.numerator * (scale // rhs.denominator)))
 
-    n_slack = sum(1 for _, sense, _ in rows if sense != "==")
-    n_art = sum(1 for _, sense, _ in rows if sense in (">=", "=="))
+    n_slack = sum(1 for _, sense, _ in scaled if sense != "==")
+    n_art = sum(1 for _, sense, _ in scaled if sense != "<=")
     art_start = num_vars + n_slack
-    width = art_start + n_art
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_i = num_vars
     art_i = art_start
-    for coeffs, sense, rhs in rows:
-        row = coeffs + [ZERO] * (n_slack + n_art) + [rhs]
+    for ints, sense, rhs in scaled:
+        row = ints + [0] * (n_slack + n_art) + [rhs]
         if sense == "<=":
-            row[slack_i] = ONE
+            row[slack_i] = 1
             basis.append(slack_i)
             slack_i += 1
-        elif sense == ">=":
-            row[slack_i] = -ONE
-            slack_i += 1
-            row[art_i] = ONE
-            basis.append(art_i)
-            art_i += 1
         else:
-            row[art_i] = ONE
+            if sense == ">=":
+                row[slack_i] = -1
+                slack_i += 1
+            row[art_i] = 1
             basis.append(art_i)
             art_i += 1
         tableau.append(row)
 
+    d = 1
     if n_art:
-        cost = [ZERO] * width
-        for j in range(art_start, width):
-            cost[j] = -ONE
-        _bland(tableau, basis, cost, width)
-        if sum(cost[basis[i]] * tableau[i][-1] for i in range(len(tableau))) != 0:
-            raise Infeasible
+        cost = [0] * art_start + [-1] * n_art
+        tableau.append(_objective_row(tableau, basis, cost, d))
+        d = _bland(tableau, basis, d)
+        if tableau.pop()[-1] != 0:
+            return None
+        # Drive the artificials left in the basis (all at level zero) out of
+        # it; a row with no structural or slack entry is a redundant equality.
         i = 0
         while i < len(tableau):
             if basis[i] >= art_start:
-                for j in range(art_start):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, basis, i, j)
-                        break
-                else:
+                row = tableau[i]
+                j = next((j for j in range(art_start) if row[j]), -1)
+                if j < 0:
                     del tableau[i]
                     del basis[i]
                     continue
+                d = _pivot(tableau, basis, i, j, d)
             i += 1
         tableau = [row[:art_start] + [row[-1]] for row in tableau]
-        width = art_start
-
-    cost = [ZERO] * width
-    for j, c in enumerate(objective):
-        cost[j] = Fraction(c)
-    _bland(tableau, basis, cost, width)
-    return sum((cost[basis[i]] * tableau[i][-1] for i in range(len(tableau))), ZERO)
+    return _Start(tuple(tableau), tuple(basis), d, art_start)
 
 
-def _bland(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction], width: int) -> None:
-    n_rows = len(tableau)
+def _objective_row(
+    rows: Sequence[list[int]], basis: Sequence[int], cost: list[int], d: int
+) -> list[int]:
+    """``d`` times the negated reduced costs, and ``d`` times the value last.
+
+    Entry ``j`` is ``sum_i cost[basis[i]] * rows[i][j] - d * cost[j]``: a
+    negative entry marks an improving column.  It pivots like any row.
+    """
+    z = [-c * d for c in cost]
+    z.append(0)
+    for row, b in zip(rows, basis):
+        cb = cost[b]
+        if cb:
+            z = [zj + cb * t for zj, t in zip(z, row)]
+    return z
+
+
+def _bland(tableau: list[list[int]], basis: list[int], d: int) -> int:
+    """Pivot to optimality by Bland's rule; the last row is the objective.
+
+    Returns the final common denominator.
+    """
+    n_rows = len(tableau) - 1
     while True:
-        y = [cost[b] for b in basis]
-        enter = -1
-        for j in range(width):
-            reduced = cost[j]
-            for i in range(n_rows):
-                yi = y[i]
-                if yi:
-                    reduced -= yi * tableau[i][j]
-            if reduced > 0:
-                enter = j
-                break
+        z = tableau[-1]
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), -1)
         if enter < 0:
-            return
+            return d
         leave = -1
-        best: Fraction | None = None
         for i in range(n_rows):
-            a = tableau[i][enter]
+            row = tableau[i]
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                # Ratios rhs / a compared by cross-multiplying (a > 0, best_a > 0).
+                if leave < 0:
+                    leave, best_rhs, best_a = i, row[-1], a
+                    continue
+                lhs = row[-1] * best_a
+                rhs = best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
             raise ArithmeticError("unbounded objective in a credal program")
-        _pivot(tableau, basis, leave, enter)
+        d = _pivot(tableau, basis, leave, enter, d)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], pivot_row: int, pivot_col: int) -> None:
-    row = tableau[pivot_row]
-    factor = row[pivot_col]
-    if factor != 1:
-        row = [v / factor for v in row]
-        tableau[pivot_row] = row
-    for i, other in enumerate(tableau):
-        if i != pivot_row and other[pivot_col]:
-            f = other[pivot_col]
-            tableau[i] = [a - f * b for a, b in zip(other, row)]
+def _pivot(
+    tableau: list[list[int]], basis: list[int], pivot_row: int, pivot_col: int, d: int
+) -> int:
+    """Fraction-free pivot; returns the new common denominator.
+
+    Every row but the pivot row becomes ``(row * p - row[col] * pivot) // d``
+    with ``p`` the pivot entry, and ``p`` becomes the denominator.  The
+    division is exact because each entry is a minor of the scaled integer
+    system.  A negative pivot negates the whole tableau to keep ``d > 0``.
+    Rows are replaced, never mutated.
+    """
+    pivot = tableau[pivot_row]
+    p = pivot[pivot_col]
+    for i, row in enumerate(tableau):
+        if i == pivot_row:
+            continue
+        f = row[pivot_col]
+        if f:
+            tableau[i] = [(v * p - f * w) // d for v, w in zip(row, pivot)]
+        elif p != d:
+            tableau[i] = [v * p // d for v in row]
     basis[pivot_row] = pivot_col
+    if p < 0:
+        tableau[:] = [[-v for v in row] for row in tableau]
+        p = -p
+    return p
 
 
 # --------------------------------------------------------------- credal LPs
@@ -209,12 +305,8 @@ def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
     return ONE - credal_upper(box, box.chain.complement(event))
 
 
-def credal_upper_elements(box: PBox, event: Iterable[Label]) -> Fraction:
-    """Element-level variant of :func:`credal_upper`.
-
-    One mass variable per element instead of per class; used to validate
-    the mass-on-classes reduction on chains with non-singleton classes.
-    """
+def _element_rows(box: PBox) -> tuple[list[Label], list[Row]]:
+    """The sorted elements and the box's cumulative rows, one variable per element."""
     chain = box.chain
     elements = sorted(chain.labels)
     position = {label: k for k, label in enumerate(elements)}
@@ -229,10 +321,19 @@ def credal_upper_elements(box: PBox, event: Iterable[Label]) -> Fraction:
         if box.lower_cdf[i] != ZERO:
             rows.append((prefix, ">=", box.lower_cdf[i]))
     rows.append(([ONE] * n, "==", ONE))
-    objective = [ZERO] * n
-    for label in chain.event(event):
-        objective[position[label]] = ONE
-    return simplex_max(n, rows, objective)
+    return elements, rows
+
+
+def credal_upper_elements(box: PBox, event: Iterable[Label]) -> Fraction:
+    """Element-level variant of :func:`credal_upper`.
+
+    One mass variable per element instead of per class; used to validate
+    the mass-on-classes reduction on chains with non-singleton classes.
+    """
+    elements, rows = _element_rows(box)
+    hit = box.chain.event(event)
+    objective = [ONE if label in hit else ZERO for label in elements]
+    return simplex_max(len(elements), rows, objective)
 
 
 # ------------------------------------------------------------ whole-model checks
@@ -305,22 +406,10 @@ def credal_intersection_equal(
     chain = box.chain
     if pi_one.labels != chain.labels or pi_two.labels != chain.labels:
         raise ValueError("distributions must share the box's element set")
-    elements = sorted(chain.labels)
+    elements, box_rows = _element_rows(box)
     n = len(elements)
     if n > max_elements:
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")
-    position = {label: k for k, label in enumerate(elements)}
-
-    box_rows: list[Row] = []
-    for i in range(chain.m - 1):
-        prefix = [ZERO] * n
-        for label in chain.class_range_labels(0, i):
-            prefix[position[label]] = ONE
-        if box.upper_cdf[i] != ONE:
-            box_rows.append((prefix, "<=", box.upper_cdf[i]))
-        if box.lower_cdf[i] != ZERO:
-            box_rows.append((prefix, ">=", box.lower_cdf[i]))
-    box_rows.append(([ONE] * n, "==", ONE))
 
     poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
     events: list[tuple[int, ...]] = []

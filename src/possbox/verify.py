@@ -487,16 +487,27 @@ def run_suite(name: str, max_classes: int | None = None, grid_den: int | None = 
 
     ``max_classes`` bounds the structural size (chain classes, sample domain
     size, or marginal domain size, depending on the suite) and ``grid_den``
-    the value grid.
+    the value grid; ``None`` selects the suite's default and a value below 1
+    raises ``ValueError``.
     """
+    for knob, value in (("max_classes", max_classes), ("grid_den", grid_den)):
+        if value is not None and value < 1:
+            raise ValueError(f"{knob} must be at least 1 (got {value})")
+
+    def size(default: int) -> int:
+        return default if max_classes is None else max_classes
+
+    def grid(default: int) -> int:
+        return default if grid_den is None else grid_den
+
     if name == "oracle":
-        return suite_oracle(max_classes or 5, grid_den or 4)
+        return suite_oracle(size(5), grid(4))
     if name == "maxitive":
-        return suite_maxitive(max_classes or 4, grid_den or 4)
+        return suite_maxitive(size(4), grid(4))
     if name == "roundtrip":
-        return suite_roundtrip(max_domain=max_classes or 6, grid_den=grid_den or 8)
+        return suite_roundtrip(max_domain=size(6), grid_den=grid(8))
     if name == "conjunction":
-        return suite_conjunction(max_classes or 3, grid_den or 4)
+        return suite_conjunction(size(3), grid(4))
     if name == "multivariate":
-        return suite_multivariate(max_size=max_classes or 3, grid_den=grid_den or 4)
+        return suite_multivariate(max_size=size(3), grid_den=grid(4))
     raise ValueError(f"unknown suite {name!r} (expected one of {sorted(SUITES)})")

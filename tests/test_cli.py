@@ -168,6 +168,16 @@ def test_verify_command(write_doc, capsys):
     assert payload["cases"] > 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-classes", "0"), ("--max-classes", "-1"), ("--grid", "0"), ("--grid", "-3")],
+)
+def test_verify_rejects_sizes_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--suite", "oracle", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least 1 (got {value})\n"
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P1_DOC)))
     code, out, _ = run(capsys, "upper", "--event", "a", "--json")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,13 @@ def test_profiles(p1, p2, q, r, precise):
     prof = zero_one_profile(precise)
     assert prof.lower_is_01 and prof.upper_is_01
     assert prof.lower_zero_end == prof.upper_zero_end == 0
+
+
+def test_profile_rejects_crossed_vectors():
+    # PBox refuses lower > upper, so the stand-in skips its validation.
+    crossed = SimpleNamespace(m=2, lower_cdf=(Fraction(1, 2), 1), upper_cdf=(0, 1))
+    with pytest.raises(ValueError, match="exceeds the upper"):
+        zero_one_profile(crossed)
 
 
 def test_is_maxitive(p1, p2, q, r, precise):

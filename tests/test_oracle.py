@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from possbox import (
     credal_upper_elements,
     exhaustive_max_preserving,
 )
+from possbox import oracle
 from possbox.oracle import Infeasible, simplex_max
 from possbox.verify import iter_grid_pboxes
 
@@ -47,9 +49,82 @@ def test_simplex_redundant_equalities():
     assert simplex_max(2, rows, [1, 0]) == 1
 
 
+def test_phase_one_drops_a_redundant_equality_row():
+    start = oracle._solve_phase_one(2, (((1, 1), "==", 1), ((2, 2), "==", 2)))
+    assert len(start.rows) == len(start.basis) == 1
+    assert start.width == 2
+
+
+def test_phase_one_cleanup_pivots_on_a_negative_entry():
+    # -x0 == 0 leaves its artificial basic at level zero after phase 1; the
+    # clean-up pivot on the -1 negates the tableau to keep d positive.
+    rows = [([-1, 0], "==", 0), ([1, 1], "<=", 1)]
+    start = oracle._solve_phase_one(2, tuple((tuple(c), s, r) for c, s, r in rows))
+    assert 0 in start.basis and start.d > 0
+    assert simplex_max(2, rows, [1, 1]) == 1
+    assert simplex_max(2, rows, [1, 0]) == 0
+    assert simplex_max(2, rows, [Fraction(-1, 2), 3]) == 3
+
+
+def test_simplex_fractional_negative_and_string_coefficients():
+    # max -3/2 x + 5/7 y with x/2 + y/3 <= 1 and x/4 >= 1/8: x = 1/2, y = 9/4.
+    rows = [(["1/2", "1/3"], "<=", "1"), ([Fraction(1, 4), 0], ">=", "1/8")]
+    assert simplex_max(2, rows, ["-3/2", Fraction(5, 7)]) == Fraction(6, 7)
+    assert simplex_max(2, rows, [Fraction(-1, 3), "-1/5"]) == Fraction(-1, 6)
+    assert simplex_max(2, rows, []) == 0
+
+
+def test_phase_one_runs_once_per_region(p1, monkeypatch):
+    oracle._phase_one_memo.clear()
+    calls = []
+    solve = oracle._solve_phase_one
+
+    def counting(*key):
+        calls.append(key)
+        return solve(*key)
+
+    monkeypatch.setattr(oracle, "_solve_phase_one", counting)
+    for k in range(4):
+        for subset in combinations(range(3), k):
+            oracle.credal_upper_classes(p1, subset)
+    assert len(calls) == 1
+    assert len(oracle._phase_one_memo) <= oracle.PHASE_ONE_MEMO_SIZE
+
+
+def test_memo_keeps_alternating_regions_apart(p1, p2, q):
+    regions = [oracle._class_rows(box) for box in (p1, p2, q)]
+    objectives = [[1, 0, 0], [0, 1, 1], ["1/2", 0, "-1/3"], [0, 0, 1]]
+    fresh = {}
+    for r, rows in enumerate(regions):
+        for o, objective in enumerate(objectives):
+            oracle._phase_one_memo.clear()
+            fresh[r, o] = simplex_max(3, rows, objective)
+    pairs = list(fresh)
+    orders = [pairs, pairs[::-1], sorted(pairs, key=lambda ro: (ro[1], ro[0]))]
+    rng = random.Random(7)
+    orders += [rng.sample(pairs, len(pairs)) for _ in range(5)]
+    for order in orders:
+        oracle._phase_one_memo.clear()
+        for r, o in order:
+            assert simplex_max(3, regions[r], objectives[o]) == fresh[r, o]
+
+
+def test_infeasible_region_still_raises_after_a_feasible_one():
+    feasible = [([1], "<=", 1)]
+    infeasible = [([1], "<=", Fraction(1, 3)), ([1], ">=", Fraction(1, 2))]
+    for _ in range(2):
+        assert simplex_max(1, feasible, [1]) == 1
+        with pytest.raises(Infeasible):
+            simplex_max(1, infeasible, [1])
+
+
 def test_simplex_rejects_wrong_width():
     with pytest.raises(ValueError):
         simplex_max(2, [([1], "<=", 1)], [1, 0])
+    with pytest.raises(ValueError):
+        simplex_max(1, [([1], "<=", 1)], [1, 0])
+    with pytest.raises(ValueError):
+        simplex_max(1, [([1], "<", 1)], [1])
 
 
 def test_credal_frozen_values(p1):

@@ -83,3 +83,10 @@ def test_suites_are_deterministic():
     one = run_suite("maxitive", max_classes=2, grid_den=2)
     two = run_suite("maxitive", max_classes=2, grid_den=2)
     assert (one.cases, one.checks) == (two.cases, two.checks)
+
+
+def test_run_suite_size_knobs():
+    assert run_suite("oracle", 1, 1).cases == 1
+    for knobs in ((0, None), (None, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            run_suite("oracle", *knobs)
