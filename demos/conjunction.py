@@ -17,16 +17,15 @@ from possbox import (
     conjunction_decompose,
     credal_intersection_equal,
 )
-from possbox.rationals import fmt
 
 
 def main() -> None:
     chain = Chain([["a"], ["b"], ["c"]])
     box = PBox(chain, ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])
     pi_one, pi_two = conjunction_decompose(box)
-    print("band:", [fmt(v) for v in box.lower_cdf], [fmt(v) for v in box.upper_cdf])
-    print("distribution from the lower vector:", {x: fmt(pi_one[x]) for x in "abc"})
-    print("distribution from the upper vector:", {x: fmt(pi_two[x]) for x in "abc"})
+    print("band:", [str(v) for v in box.lower_cdf], [str(v) for v in box.upper_cdf])
+    print("distribution from the lower vector:", {x: str(pi_one[x]) for x in "abc"})
+    print("distribution from the upper vector:", {x: str(pi_two[x]) for x in "abc"})
     print()
 
     same = credal_intersection_equal(box, pi_one, pi_two)
@@ -41,8 +40,8 @@ def main() -> None:
             approx_lower, approx_upper = conjunction_bounds(box, event)
             name = "{" + ", ".join(sorted(event)) + "}"
             print(
-                f"{name:16}{fmt(approx_lower):14}{fmt(box.lower(event)):8}"
-                f"{fmt(box.upper(event)):8}{fmt(approx_upper):12}"
+                f"{name:16}{approx_lower!s:14}{box.lower(event)!s:8}"
+                f"{box.upper(event)!s:8}{approx_upper!s:12}"
             )
     print()
 
@@ -55,8 +54,8 @@ def main() -> None:
             slack = approx_upper - box.upper(event)
             expected = min(box.lower_cdf[i], 1 - box.upper_cdf[j])
             print(
-                f"  ({reps[i]}, {reps[j]}]: slack = {fmt(slack)},"
-                f" closed form = {fmt(expected)}"
+                f"  ({reps[i]}, {reps[j]}]: slack = {slack},"
+                f" closed form = {expected}"
             )
 
 

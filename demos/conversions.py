@@ -16,7 +16,6 @@ from possbox import (
     possibility_to_pbox,
     zero_one_possibility,
 )
-from possbox.rationals import fmt
 
 
 def main() -> None:
@@ -25,7 +24,7 @@ def main() -> None:
     pi = pbox_to_possibility(p1)
     assert pi is not None
     print("P1 is maxitive; its distribution:",
-          {x: fmt(pi[x]) for x in "abc"})
+          {x: str(pi[x]) for x in "abc"})
 
     p2 = PBox(chain, ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])
     print("P2 is not maxitive; conversion returns:", pbox_to_possibility(p2))
@@ -37,15 +36,15 @@ def main() -> None:
     for name, box in (("x1 < x2", ascending), ("x2 < x1", descending)):
         converted = pbox_to_possibility(box)
         assert converted is not None
-        print(f"  ordering {name}: pi(x1)={fmt(converted['x1'])}, pi(x2)={fmt(converted['x2'])}")
+        print(f"  ordering {name}: pi(x1)={converted['x1']}, pi(x2)={converted['x2']}")
     print()
 
     pi = PossibilityDistribution({"cold": "1/4", "mild": "1", "warm": "1/4", "hot": "3/4"})
     level_chain, box = possibility_to_pbox(pi)
     print("embedding a distribution as a band on its level-set chain:")
     print("  classes:", " < ".join("{" + ", ".join(sorted(c)) + "}" for c in level_chain.classes))
-    print("  lower:", [fmt(v) for v in box.lower_cdf])
-    print("  upper:", [fmt(v) for v in box.upper_cdf])
+    print("  lower:", [str(v) for v in box.lower_cdf])
+    print("  upper:", [str(v) for v in box.upper_cdf])
     labels = sorted(pi.labels)
     agree = all(
         box.upper(frozenset(c)) == pi.measure(c)
@@ -58,7 +57,7 @@ def main() -> None:
     both = PBox(chain, ["0", "0", "1"], ["0", "1", "1"])
     print("a band with both vectors 0-1 is an indicator distribution:")
     indicator = zero_one_possibility(both)
-    print(" ", {x: fmt(indicator[x]) for x in "abc"})
+    print(" ", {x: str(indicator[x]) for x in "abc"})
 
 
 if __name__ == "__main__":

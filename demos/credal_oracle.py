@@ -10,7 +10,6 @@ the verification suites sweep it over thousands of enumerated instances.
 from itertools import combinations
 
 from possbox import Chain, PBox, check_coherence, credal_lower, credal_upper
-from possbox.rationals import fmt
 from possbox.verify import run_suite
 
 
@@ -21,7 +20,7 @@ def main() -> None:
         lower=["0", "1/4", "1/2", "1"],
         upper=["1/4", "3/4", "3/4", "1"],
     )
-    print("band:", [fmt(v) for v in box.lower_cdf], [fmt(v) for v in box.upper_cdf])
+    print("band:", [str(v) for v in box.lower_cdf], [str(v) for v in box.upper_cdf])
     print()
     print(f"{'event':18}{'formula':18}{'linear program':18}")
     labels = sorted(chain.labels)
@@ -32,7 +31,7 @@ def main() -> None:
             oracle = (credal_lower(box, event), credal_upper(box, event))
             assert formula == oracle
             name = "{" + ", ".join(sorted(event)) + "}"
-            pair = f"[{fmt(formula[0])}, {fmt(formula[1])}]"
+            pair = f"[{formula[0]}, {formula[1]}]"
             print(f"{name:18}{pair:18}{pair:18}")
     print()
     print("cumulative vectors are reproduced by the optimizer:", check_coherence(box))

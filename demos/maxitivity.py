@@ -18,13 +18,12 @@ from possbox import (
     upper_01_upper,
     zero_one_profile,
 )
-from possbox.rationals import fmt
 
 
 def describe(name: str, box: PBox) -> None:
     profile = zero_one_profile(box)
-    print(f"{name}: lower={[fmt(v) for v in box.lower_cdf]}",
-          f"upper={[fmt(v) for v in box.upper_cdf]}")
+    print(f"{name}: lower={[str(v) for v in box.lower_cdf]}",
+          f"upper={[str(v) for v in box.upper_cdf]}")
     print(f"  lower 0-1? {profile.lower_is_01}   upper 0-1? {profile.upper_is_01}"
           f"   maxitive? {is_maxitive(box)}")
     semantic = exhaustive_max_preserving(box)
@@ -57,9 +56,9 @@ def main() -> None:
 
     precise = boxes["precise (degenerate)"]
     print("the degenerate case: lower = upper = (0, 1, 1) forces all mass onto b, so")
-    print(f"  upper({{b}})    = {fmt(precise.upper({'b'}))}")
-    print(f"  upper({{a, c}}) = {fmt(precise.upper({'a', 'c'}))}   (b is missing: nothing can sit on a or c)")
-    print(f"  upper({{b, c}}) = {fmt(precise.upper({'b', 'c'}))}")
+    print(f"  upper({{b}})    = {precise.upper({'b'})}")
+    print(f"  upper({{a, c}}) = {precise.upper({'a', 'c'})}   (b is missing: nothing can sit on a or c)")
+    print(f"  upper({{b, c}}) = {precise.upper({'b', 'c'})}")
 
 
 if __name__ == "__main__":

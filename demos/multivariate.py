@@ -16,7 +16,6 @@ from possbox import (
     joint_rsi_outer,
     least_conservative_check,
 )
-from possbox.rationals import fmt
 
 
 def main() -> None:
@@ -36,15 +35,15 @@ def main() -> None:
     for point in family.points():
         name = "(" + ", ".join(point) + ")"
         print(
-            f"{name:10}{fmt(family.z_value(point)):10}{fmt(frechet[point]):14}"
-            f"{fmt(independent[point]):15}{fmt(rsi[point]):10}"
+            f"{name:10}{family.z_value(point)!s:10}{frechet[point]!s:14}"
+            f"{independent[point]!s:15}{rsi[point]!s:10}"
         )
     print()
 
     rect = ({"u"}, {"s"})
     print("rectangle {u} x {s}:")
-    print("  minimum rule bound:", fmt(combine_rectangle(family, rect, "frechet")))
-    print("  product rule bound:", fmt(combine_rectangle(family, rect, "independent")))
+    print("  minimum rule bound:", combine_rectangle(family, rect, "frechet"))
+    print("  product rule bound:", combine_rectangle(family, rect, "independent"))
     print()
 
     print("least-conservative checks (joint vs rule):")
@@ -63,19 +62,19 @@ def main() -> None:
     point = ("u", "s")
     print("which bound is tighter depends on the regime:")
     print(
-        f"  all values 2/5 (< 1/2): z^n = {fmt(joint_independent(low)[point])}"
-        f" beats rs outer = {fmt(joint_rsi_outer(low)[point])}"
+        f"  all values 2/5 (< 1/2): z^n = {joint_independent(low)[point]}"
+        f" beats rs outer = {joint_rsi_outer(low)[point]}"
     )
     point = ("v", "s")
     print(
-        f"  a coordinate at 1:      rs outer = {fmt(joint_rsi_outer(low)[point])}"
-        f" beats z^n = {fmt(joint_independent(low)[point])}"
+        f"  a coordinate at 1:      rs outer = {joint_rsi_outer(low)[point]}"
+        f" beats z^n = {joint_independent(low)[point]}"
     )
     print()
     print("neither z^n nor the outer bound is a proper joint: projecting back")
     print("onto a coordinate inflates interior values, e.g. at u:")
     projected = max(joint_rsi_outer(low)[p] for p in low.points() if p[0] == "u")
-    print(f"  projection of rs outer at u = {fmt(projected)} > 2/5 = pi1(u)")
+    print(f"  projection of rs outer at u = {projected} > 2/5 = pi1(u)")
 
 
 if __name__ == "__main__":

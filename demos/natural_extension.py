@@ -6,7 +6,6 @@ intervals and a sum of forced gaps.  Everything is an exact fraction.
 """
 
 from possbox import Chain, PBox
-from possbox.rationals import fmt
 
 
 def main() -> None:
@@ -17,8 +16,8 @@ def main() -> None:
         upper=["1/5", "1/2", "7/10", "9/10", "1"],
     )
     print("chain:", " < ".join(sorted(cls)[0] for cls in chain.classes))
-    print("lower cdf:", [fmt(v) for v in box.lower_cdf])
-    print("upper cdf:", [fmt(v) for v in box.upper_cdf])
+    print("lower cdf:", [str(v) for v in box.lower_cdf])
+    print("upper cdf:", [str(v) for v in box.upper_cdf])
     print()
 
     events = [
@@ -32,7 +31,7 @@ def main() -> None:
     print("event bounds (lower, upper):")
     for event in events:
         name = "{" + ", ".join(sorted(event)) + "}"
-        print(f"  {name:24} [{fmt(box.lower(event))}, {fmt(box.upper(event))}]")
+        print(f"  {name:24} [{box.lower(event)}, {box.upper(event)}]")
     print()
 
     event = {"mon", "wed", "fri"}
@@ -50,11 +49,11 @@ def main() -> None:
             value = box.interval_upper(
                 "tue", "thu", closed_left=closed_left, closed_right=closed_right
             )
-            print(f"  upper {left}tue, thu{right} = {fmt(value)}")
-    print(f"  upper of the singleton wed = {fmt(box.singleton_upper('wed'))}")
+            print(f"  upper {left}tue, thu{right} = {value}")
+    print(f"  upper of the singleton wed = {box.singleton_upper('wed')}")
     print()
     print("note: (tue, wed) between adjacent classes is empty, so:")
-    print(f"  upper (tue, wed) = {fmt(box.interval_upper('tue', 'wed', closed_right=False))}")
+    print(f"  upper (tue, wed) = {box.interval_upper('tue', 'wed', closed_right=False)}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ into joints, and cross-checks every closed form against exact credal-set
 optimization.  All arithmetic is rational and exact.
 """
 
-from possbox.chain import SENTINEL, Chain, IntervalUnion, build_chain
+from possbox.chain import SENTINEL, Chain, IntervalUnion
 from possbox.maxitive import (
     ZeroOneProfile,
     is_maxitive,
@@ -54,7 +54,6 @@ __all__ = [
     "PBox",
     "PossibilityDistribution",
     "ZeroOneProfile",
-    "build_chain",
     "check_coherence",
     "combine_rectangle",
     "conjunction_bounds",

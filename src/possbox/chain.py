@@ -134,11 +134,6 @@ class Chain:
         return f"Chain({body})"
 
 
-def build_chain(classes: Iterable[Iterable[Label]]) -> Chain:
-    """Build a :class:`Chain` from equivalence classes listed bottom-up."""
-    return Chain(classes)
-
-
 @dataclass(frozen=True)
 class IntervalUnion:
     """Canonical finite union of half-open runs of consecutive classes.

@@ -20,12 +20,7 @@ from typing import Sequence
 
 from possbox.chain import Chain
 from possbox.maxitive import is_maxitive
-from possbox.multivariate import (
-    MarginalFamily,
-    joint_frechet,
-    joint_independent,
-    joint_rsi_outer,
-)
+from possbox.multivariate import JOINTS, MarginalFamily
 from possbox.pbox import PBox
 from possbox.possibility import (
     PossibilityDistribution,
@@ -34,8 +29,7 @@ from possbox.possibility import (
     pbox_to_possibility,
     possibility_to_pbox,
 )
-from possbox.rationals import fmt
-from possbox.verify import SUITES, run_suite
+from possbox.verify import SUITES, pbox_document, run_suite
 
 
 class CliError(Exception):
@@ -68,6 +62,8 @@ def _document_chain(doc: dict) -> Chain:
         raise CliError('document field "classes" is required for this command')
     if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
         raise CliError('"classes" must be a list of lists of labels')
+    if not all(isinstance(label, str) for cls in classes for label in cls):
+        raise CliError('every label in "classes" must be a string')
     try:
         return Chain(classes)
     except ValueError as exc:
@@ -129,7 +125,7 @@ def _ordered_pi(pi: PossibilityDistribution, chain: Chain | None = None) -> dict
         ordered = [label for cls in chain.classes for label in sorted(cls)]
     else:
         ordered = sorted(pi.labels, key=repr)
-    return {label: fmt(pi[label]) for label in ordered}
+    return {label: str(pi[label]) for label in ordered}
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -166,7 +162,7 @@ def _cmd_upper(args: argparse.Namespace) -> int:
     box = _document_pbox(_load_document(args))
     event = _event_from_args(args, box.chain)
     value = box.upper(event)
-    _emit(args, {"upper": fmt(value)}, f"upper = {fmt(value)}")
+    _emit(args, {"upper": str(value)}, f"upper = {value}")
     return 0
 
 
@@ -174,7 +170,7 @@ def _cmd_lower(args: argparse.Namespace) -> int:
     box = _document_pbox(_load_document(args))
     event = _event_from_args(args, box.chain)
     value = box.lower(event)
-    _emit(args, {"lower": fmt(value)}, f"lower = {fmt(value)}")
+    _emit(args, {"lower": str(value)}, f"lower = {value}")
     return 0
 
 
@@ -200,11 +196,7 @@ def _cmd_to_possibility(args: argparse.Namespace) -> int:
 def _cmd_from_possibility(args: argparse.Namespace) -> int:
     pi = _document_pi(_load_document(args))
     chain, box = possibility_to_pbox(pi)
-    payload = {
-        "classes": [sorted(cls) for cls in chain.classes],
-        "lower": [fmt(v) for v in box.lower_cdf],
-        "upper": [fmt(v) for v in box.upper_cdf],
-    }
+    payload = pbox_document(box)
     lines = [
         "classes: " + " < ".join("{" + ", ".join(sorted(cls)) + "}" for cls in chain.classes),
         "lower:   " + " ".join(payload["lower"]),
@@ -235,10 +227,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     approx_lo, approx_up = conjunction_bounds(box, event)
     exact_lo, exact_up = box.lower(event), box.upper(event)
     payload = {
-        "approx_lower": fmt(approx_lo),
-        "lower": fmt(exact_lo),
-        "upper": fmt(exact_up),
-        "approx_upper": fmt(approx_up),
+        "approx_lower": str(approx_lo),
+        "lower": str(exact_lo),
+        "upper": str(exact_up),
+        "approx_upper": str(approx_up),
     }
     text = (
         f"approx_lower = {payload['approx_lower']}; lower = {payload['lower']}; "
@@ -250,13 +242,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_joint(args: argparse.Namespace) -> int:
     family = _document_marginals(_load_document(args))
-    builder = {
-        "frechet": joint_frechet,
-        "independent": joint_independent,
-        "rsi": joint_rsi_outer,
-    }[args.rule]
-    joint = builder(family)
-    ordered = {"|".join(point): fmt(joint[point]) for point in family.points()}
+    joint = JOINTS[args.rule](family)
+    ordered = {"|".join(point): str(joint[point]) for point in family.points()}
     text = "\n".join(f"{key} = {value}" for key, value in ordered.items())
     _emit(args, {"rule": args.rule, "pi": ordered}, text)
     return 0
@@ -310,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("decompose", _cmd_decompose, "split a box into two possibility distributions")
     add("bounds", _cmd_bounds, "exact and conjunction-approximate bounds", event=True)
     joint = add("joint", _cmd_joint, "joint distribution from marginals")
-    joint.add_argument("--rule", required=True, choices=("frechet", "independent", "rsi"))
+    joint.add_argument("--rule", required=True, choices=JOINTS)
     verify = add("verify", _cmd_verify, "run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify.add_argument("--max-classes", type=int, default=None, dest="max_classes")

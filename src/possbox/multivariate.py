@@ -108,6 +108,14 @@ def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
     return _build_joint(family, lambda vals: ONE - max((ONE - v) ** n for v in vals))
 
 
+#: Joint constructions by name (the command line's ``joint --rule`` choices).
+JOINTS = {
+    "frechet": joint_frechet,
+    "independent": joint_independent,
+    "rsi": joint_rsi_outer,
+}
+
+
 def combine_rectangle(
     family: MarginalFamily, rectangle: Sequence[Iterable[Hashable]], rule: str
 ) -> Fraction:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from possbox.chain import Label
 from possbox.pbox import PBox
 from possbox.possibility import PossibilityDistribution
-from possbox.rationals import ONE, ZERO
+from possbox.rationals import ONE, ZERO, exact
 
 Row = tuple[Sequence[Fraction], str, Fraction]
 
@@ -70,8 +70,10 @@ def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[o
     """Maximize ``objective . x`` over ``x >= 0`` subject to ``constraints``.
 
     ``constraints`` are ``(coefficients, sense, rhs)`` with sense one of
-    ``"<="``, ``">="``, ``"=="``; coefficients are anything
-    :class:`~fractions.Fraction` accepts.  Exact two-phase simplex with
+    ``"<="``, ``">="``, ``"=="``; coefficients, right-hand sides and costs
+    are exact rationals as :func:`~possbox.rationals.exact` reads them, so a
+    binary float raises ``ValueError`` (rows equal to a memoised region's
+    are not read again).  Exact two-phase simplex with
     Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
     runs once per region while the region is among the last
     :data:`PHASE_ONE_MEMO_SIZE` asked for; an infeasible region raises
@@ -81,7 +83,7 @@ def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[o
     ``ArithmeticError`` otherwise.
     """
     key = (num_vars, tuple((tuple(coeffs), sense, rhs) for coeffs, sense, rhs in constraints))
-    costs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in objective]
+    costs = [c if isinstance(c, (int, Fraction)) else exact(c) for c in objective]
     if len(costs) > num_vars:
         raise ValueError("objective width exceeds the variable count")
     start = _phase_one(key)
@@ -115,8 +117,8 @@ def _solve_phase_one(num_vars: int, constraints: tuple) -> _Start | None:
             raise ValueError("constraint width does not match the variable count")
         if sense not in _FLIPPED:
             raise ValueError(f"unknown constraint sense {sense!r}")
-        row = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
+        row = [exact(c) for c in coeffs]
+        rhs = exact(rhs)
         if rhs < 0:
             row = [-c for c in row]
             rhs = -rhs

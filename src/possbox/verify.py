@@ -45,7 +45,7 @@ from possbox.possibility import (
     possibility_to_pbox,
     zero_one_possibility,
 )
-from possbox.rationals import ONE, ZERO, fmt
+from possbox.rationals import ONE, ZERO
 
 
 @dataclass
@@ -107,8 +107,8 @@ def pbox_document(box: PBox) -> dict:
     """Replayable JSON form of a probability box."""
     return {
         "classes": [sorted(cls) for cls in box.chain.classes],
-        "lower": [fmt(v) for v in box.lower_cdf],
-        "upper": [fmt(v) for v in box.upper_cdf],
+        "lower": [str(v) for v in box.lower_cdf],
+        "upper": [str(v) for v in box.upper_cdf],
     }
 
 
@@ -142,8 +142,8 @@ def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
                     report.counterexample = {
                         "document": pbox_document(box),
                         "event": _event_labels(subset),
-                        "closed_form": fmt(formula),
-                        "credal_optimum": fmt(optimum),
+                        "closed_form": str(formula),
+                        "credal_optimum": str(optimum),
                     }
                     return report
                 expected = None
@@ -157,8 +157,8 @@ def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
                         report.counterexample = {
                             "document": pbox_document(box),
                             "event": _event_labels(subset),
-                            "credal_optimum": fmt(optimum),
-                            "cumulative_bound": fmt(expected),
+                            "credal_optimum": str(optimum),
+                            "cumulative_bound": str(expected),
                         }
                         return report
     return report
@@ -205,8 +205,8 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
                             "document": pbox_document(box),
                             "event": event,
                             "formula": name,
-                            "specialized": fmt(special),
-                            "general": fmt(general),
+                            "specialized": str(special),
+                            "general": str(general),
                         }
                         return report
     return report
@@ -246,8 +246,8 @@ def suite_roundtrip(
         if pi != target:
             report.counterexample = {
                 "document": pbox_document(box),
-                "expected_pi": {k: fmt(v) for k, v in target.items()},
-                "computed_pi": None if pi is None else {k: fmt(v) for k, v in pi.items()},
+                "expected_pi": {k: str(v) for k, v in target.items()},
+                "computed_pi": None if pi is None else {k: str(v) for k, v in pi.items()},
             }
             return report
 
@@ -262,10 +262,10 @@ def suite_roundtrip(
             report.checks += 1
             if box.upper(event) != pi.measure(event):
                 report.counterexample = {
-                    "pi": {k: fmt(v) for k, v in pi.items()},
+                    "pi": {k: str(v) for k, v in pi.items()},
                     "event": event,
-                    "pbox_upper": fmt(box.upper(event)),
-                    "possibility": fmt(pi.measure(event)),
+                    "pbox_upper": str(box.upper(event)),
+                    "possibility": str(pi.measure(event)),
                 }
                 return report
 
@@ -290,8 +290,8 @@ def suite_roundtrip(
                     report.counterexample = {
                         "document": pbox_document(box),
                         "event": _event_labels(subset),
-                        "possibility": fmt(pi.measure(_event_labels(subset))),
-                        "pbox_upper": fmt(box.upper_of_classes(subset)),
+                        "possibility": str(pi.measure(_event_labels(subset))),
+                        "pbox_upper": str(box.upper_of_classes(subset)),
                     }
                     return report
             profile = zero_one_profile(box)
@@ -338,8 +338,8 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
                     report.counterexample = {
                         "document": pbox_document(box),
                         "event": event,
-                        "approx": [fmt(approx_lo), fmt(approx_up)],
-                        "exact": [fmt(exact_lo), fmt(exact_up)],
+                        "approx": [str(approx_lo), str(approx_up)],
+                        "exact": [str(exact_lo), str(exact_up)],
                     }
                     return report
             for ix in range(m - 1):
@@ -354,8 +354,8 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
                         report.counterexample = {
                             "document": pbox_document(box),
                             "event": event,
-                            "slack": fmt(slack),
-                            "expected_slack": fmt(expected),
+                            "slack": str(slack),
+                            "expected_slack": str(expected),
                         }
                         return report
     return report
@@ -401,7 +401,7 @@ def suite_multivariate(
             def fail(detail: str, **extra) -> SuiteReport:
                 report.counterexample = {
                     "marginals": [
-                        {label: fmt(m[label]) for label in domain}
+                        {label: str(m[label]) for label in domain}
                         for m, domain in zip(family.marginals, family.domains)
                     ],
                     "detail": detail,
@@ -473,12 +473,14 @@ def suite_multivariate(
     return report
 
 
+#: Suite name -> (suite function, the keyword ``run_suite`` maps
+#: ``max_classes`` onto).  Every suite takes ``grid_den``.
 SUITES = {
-    "oracle": suite_oracle,
-    "maxitive": suite_maxitive,
-    "roundtrip": suite_roundtrip,
-    "conjunction": suite_conjunction,
-    "multivariate": suite_multivariate,
+    "oracle": (suite_oracle, "max_classes"),
+    "maxitive": (suite_maxitive, "max_classes"),
+    "roundtrip": (suite_roundtrip, "max_domain"),
+    "conjunction": (suite_conjunction, "max_classes"),
+    "multivariate": (suite_multivariate, "max_size"),
 }
 
 
@@ -487,27 +489,14 @@ def run_suite(name: str, max_classes: int | None = None, grid_den: int | None = 
 
     ``max_classes`` bounds the structural size (chain classes, sample domain
     size, or marginal domain size, depending on the suite) and ``grid_den``
-    the value grid; ``None`` selects the suite's default and a value below 1
-    raises ``ValueError``.
+    the value grid.  Only the knobs given are passed on, so ``None`` leaves
+    the suite's own default in force; a value below 1 raises ``ValueError``.
     """
     for knob, value in (("max_classes", max_classes), ("grid_den", grid_den)):
         if value is not None and value < 1:
             raise ValueError(f"{knob} must be at least 1 (got {value})")
-
-    def size(default: int) -> int:
-        return default if max_classes is None else max_classes
-
-    def grid(default: int) -> int:
-        return default if grid_den is None else grid_den
-
-    if name == "oracle":
-        return suite_oracle(size(5), grid(4))
-    if name == "maxitive":
-        return suite_maxitive(size(4), grid(4))
-    if name == "roundtrip":
-        return suite_roundtrip(max_domain=size(6), grid_den=grid(8))
-    if name == "conjunction":
-        return suite_conjunction(size(3), grid(4))
-    if name == "multivariate":
-        return suite_multivariate(max_size=size(3), grid_den=grid(4))
-    raise ValueError(f"unknown suite {name!r} (expected one of {sorted(SUITES)})")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (expected one of {sorted(SUITES)})")
+    suite, size_keyword = SUITES[name]
+    knobs = {size_keyword: max_classes, "grid_den": grid_den}
+    return suite(**{keyword: value for keyword, value in knobs.items() if value is not None})

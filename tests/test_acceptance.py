@@ -1,276 +1,90 @@
 """Acceptance gate: one test and one printed verdict line per criterion.
 
+Each criterion is a ``possbox verify`` suite run at its defaults, the same
+sweep as ``possbox verify --suite NAME``.  A criterion passes when its
+suite finds no counterexample and makes exactly the pinned number of cases
+and checks, so the gate cannot pass by checking less.  Criteria that read
+one suite share one run: 1 (formula = LP on every event) and 8 (LP
+coherence) read ``oracle``, 2 and 3 (maxitivity and the 0-1 formulas) read
+``maxitive``, 4 and 5 (two-point example and random round trips) read
+``roundtrip``; 6 reads ``conjunction`` and 7 ``multivariate``.  README's
+acceptance table lists what each suite checks.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 as they appear; without ``-s`` pytest shows them for failing criteria only.
-Every comparison is exact rational equality -- there are no tolerances
-anywhere in this file.
+Every comparison is exact rational equality.
 """
 
-import random
-from fractions import Fraction
-from itertools import product
+from functools import cache
 
-from possbox import (
-    Chain,
-    PBox,
-    check_coherence,
-    conjunction_bounds,
-    conjunction_decompose,
-    credal_intersection_equal,
-    credal_upper_classes,
-    exhaustive_max_preserving,
-    is_maxitive,
-    joint_independent,
-    joint_rsi_outer,
-    pbox_to_possibility,
-    possibility_to_pbox,
-    upper_01_both,
-    upper_01_lower,
-    upper_01_upper,
-)
-from possbox.multivariate import MarginalFamily
-from possbox.possibility import PossibilityDistribution
-from possbox.verify import (
-    _canonical_marginals,
-    _event_labels,
-    _random_distribution,
-    class_subsets,
-    iter_grid_pboxes,
-    pbox_document,
-    suite_multivariate,
-    zero_one_profile,
-)
+from possbox.verify import SuiteReport, run_suite
 
-GRID_DEN = 4  # the acceptance grid: 0, 1/4, 1/2, 3/4, 1
-HALF = Fraction(1, 2)
+#: (cases, checks) of each suite at its defaults.
+PINNED = {
+    "oracle": (2375, 87442),
+    "maxitive": (611, 3013),
+    "roundtrip": (1123, 22647),
+    "conjunction": (121, 1353),
+    "multivariate": (9702, 2677022),
+}
 
 
-def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
-    state = "PASS" if ok else "FAIL"
-    line = f"criterion {number}: {state} - {description} [{detail}]"
+@cache
+def _report(suite: str) -> SuiteReport:
+    return run_suite(suite)
+
+
+def _verdict(number: int, description: str, suite: str) -> None:
+    report = _report(suite)
+    counted = (report.cases, report.checks) == PINNED[suite]
+    ok = report.ok and counted
+    detail = report.summary()
+    if not counted:
+        detail += ", expected {} cases, {} checks".format(*PINNED[suite])
+    if not report.ok:
+        detail += f", first failure {report.counterexample}"
+    line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {description} [{detail}]"
     print(line)
     assert ok, line
 
 
 def test_criterion_1_natural_extension_equals_credal_lp():
-    boxes = 0
-    checks = 0
-    failure = None
-    for m in range(1, 6):
-        subsets = class_subsets(m)
-        for box in iter_grid_pboxes(m, GRID_DEN):
-            boxes += 1
-            for subset in subsets:
-                checks += 1
-                if box.upper_of_classes(subset) != credal_upper_classes(box, subset):
-                    failure = (pbox_document(box), subset)
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    _verdict(
-        1,
-        "formula upper probability equals the credal LP optimum on every event",
-        failure is None,
-        f"{boxes} boxes, {checks} events" + (f", first failure {failure}" if failure else ""),
-    )
+    _verdict(1, "formula upper probability equals the credal LP optimum on every event", "oracle")
 
 
 def test_criterion_2_maxitivity_decision_matches_semantics():
-    boxes = 0
-    failure = None
-    for m in range(1, 5):
-        for box in iter_grid_pboxes(m, GRID_DEN):
-            boxes += 1
-            if is_maxitive(box) != exhaustive_max_preserving(box):
-                failure = pbox_document(box)
-                break
-        if failure:
-            break
-    _verdict(
-        2,
-        "0-1-vector test agrees with exhaustive LP max-preservation",
-        failure is None,
-        f"{boxes} boxes" + (f", first failure {failure}" if failure else ""),
-    )
+    _verdict(2, "0-1-vector test agrees with exhaustive LP max-preservation", "maxitive")
 
 
 def test_criterion_3_specialized_formulas_match_general_route():
-    boxes = 0
-    checks = 0
-    failure = None
-    for m in range(1, 5):
-        subsets = class_subsets(m)
-        for box in iter_grid_pboxes(m, GRID_DEN):
-            profile = zero_one_profile(box)
-            if not (profile.lower_is_01 or profile.upper_is_01):
-                continue
-            boxes += 1
-            for subset in subsets:
-                event = frozenset(_event_labels(subset))
-                expected = box.upper(event)
-                if profile.lower_is_01:
-                    checks += 1
-                    if upper_01_lower(box, event) != expected:
-                        failure = ("01-lower", pbox_document(box), sorted(event))
-                        break
-                if profile.upper_is_01:
-                    checks += 1
-                    if upper_01_upper(box, event) != expected:
-                        failure = ("01-upper", pbox_document(box), sorted(event))
-                        break
-                if profile.lower_is_01 and profile.upper_is_01:
-                    checks += 1
-                    if upper_01_both(box, event) != expected:
-                        failure = ("01-both", pbox_document(box), sorted(event))
-                        break
-            if failure:
-                break
-        if failure:
-            break
-    _verdict(
-        3,
-        "each specialized 0-1 formula equals the general natural extension",
-        failure is None,
-        f"{boxes} applicable boxes, {checks} comparisons"
-        + (f", first failure {failure}" if failure else ""),
-    )
+    _verdict(3, "each specialized 0-1 formula equals the general natural extension", "maxitive")
 
 
 def test_criterion_4_two_point_example_both_orderings():
-    expected = {"x1": Fraction(1, 2), "x2": Fraction(1)}
-    ascending = PBox(Chain([["x1"], ["x2"]]), ["0", "1"], ["1/2", "1"])
-    descending = PBox(Chain([["x2"], ["x1"]]), ["1/2", "1"], ["1", "1"])
-    results = []
-    for box in (ascending, descending):
-        pi = pbox_to_possibility(box)
-        results.append(pi is not None and {x: pi[x] for x in expected} == expected)
-    _verdict(
-        4,
-        "both orderings of the two-point example give pi(x1)=1/2, pi(x2)=1",
-        all(results),
-        f"orderings ok: {results}",
-    )
+    _verdict(4, "both orderings of the two-point example give pi(x1)=1/2, pi(x2)=1", "roundtrip")
 
 
 def test_criterion_5_thousand_random_round_trips():
-    rng = random.Random(0)
-    checks = 0
-    failure = None
-    for _ in range(1000):
-        pi = _random_distribution(rng, max_domain=6, grid_den=8)
-        chain, box = possibility_to_pbox(pi)
-        labels = sorted(pi.labels)
-        for mask in range(1 << len(labels)):
-            event = frozenset(x for k, x in enumerate(labels) if mask >> k & 1)
-            checks += 1
-            if box.upper(event) != pi.measure(event):
-                failure = ({x: str(pi[x]) for x in labels}, sorted(event))
-                break
-        if failure:
-            break
-    _verdict(
-        5,
-        "1000 random distributions round-trip through a box on every event",
-        failure is None,
-        f"{checks} events" + (f", first failure {failure}" if failure else ""),
-    )
+    _verdict(5, "1000 random distributions round-trip through a box on every event", "roundtrip")
 
 
 def test_criterion_6_conjunction_intersection_and_slack():
-    boxes = 0
-    slack_checks = 0
-    failure = None
-    for m in range(1, 4):
-        for box in iter_grid_pboxes(m, GRID_DEN):
-            boxes += 1
-            pi_one, pi_two = conjunction_decompose(box)
-            if not credal_intersection_equal(box, pi_one, pi_two):
-                failure = ("intersection", pbox_document(box))
-                break
-            chain = box.chain
-            reps = [sorted(cls)[0] for cls in chain.classes]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    event = chain.class_range_labels(i + 1, j)
-                    _, approx_upper = conjunction_bounds(box, event)
-                    slack = approx_upper - box.upper(event)
-                    expected = min(box.lower_cdf[i], 1 - box.upper_cdf[j])
-                    slack_checks += 1
-                    if slack != expected:
-                        failure = ("slack", pbox_document(box), reps[i], reps[j])
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        if failure:
-            break
     _verdict(
         6,
         "credal set equals the intersection of its two possibility credal sets;"
         " approximation slack on (x, y] is min(lower(x), 1-upper(y))",
-        failure is None,
-        f"{boxes} boxes, {slack_checks} interval slacks"
-        + (f", first failure {failure}" if failure else ""),
+        "conjunction",
     )
 
 
 def test_criterion_7_multivariate_joints():
-    report = suite_multivariate(max_size=3, grid_den=GRID_DEN)
-    regime_checks = 0
-    failure = None if report.ok else ("suite", report.counterexample)
-    if failure is None:
-        # The two comparison regimes, checked literally on the acceptance
-        # grid (where "every value inside (0, 1/2)" pins all values to 1/4).
-        pool = _canonical_marginals(3, GRID_DEN)
-        for n in (2, 3):
-            for chosen in product(pool, repeat=n):
-                family = MarginalFamily(chosen)
-                independent = joint_independent(family)
-                rsi = joint_rsi_outer(family)
-                for point in family.points():
-                    values = family.coordinate_values(point)
-                    if any(v == 1 for v in values):
-                        regime_checks += 1
-                        if rsi[point] > independent[point]:
-                            failure = ("value-1 regime", list(point))
-                            break
-                    if all(0 < v < HALF for v in values):
-                        regime_checks += 1
-                        if not independent[point] < rsi[point]:
-                            failure = ("below-1/2 regime", list(point))
-                            break
-                if failure:
-                    break
-            if failure:
-                break
     _verdict(
         7,
         "least-conservative checks, outer-bound dominance and both"
         " comparison regimes hold for all 2- and 3-marginal grid families",
-        failure is None,
-        f"{report.cases} families, {report.checks} suite checks,"
-        f" {regime_checks} regime points"
-        + (f", first failure {failure}" if failure else ""),
+        "multivariate",
     )
 
 
 def test_criterion_8_every_enumerated_box_is_coherent():
-    boxes = 0
-    failure = None
-    for m in range(1, 6):
-        for box in iter_grid_pboxes(m, GRID_DEN):
-            boxes += 1
-            if not check_coherence(box):
-                failure = pbox_document(box)
-                break
-        if failure:
-            break
-    _verdict(
-        8,
-        "the LP reproduces both cumulative vectors of every enumerated box",
-        failure is None,
-        f"{boxes} boxes" + (f", first failure {failure}" if failure else ""),
-    )
+    _verdict(8, "the LP reproduces both cumulative vectors of every enumerated box", "oracle")

@@ -219,6 +219,31 @@ def test_usage_errors_exit_2(write_doc, capsys, tmp_path):
     assert code == 2 and "bad probability box" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"classes": [[["a"]]], "lower": ["1"], "upper": ["1"]},
+            'error: every label in "classes" must be a string\n',
+        ),
+        (
+            {"classes": [[1], [2]], "lower": ["0", "1"], "upper": ["1", "1"]},
+            'error: every label in "classes" must be a string\n',
+        ),
+        (
+            {"classes": [["a"], ["b"]], "lower": [False, True], "upper": ["1", "1"]},
+            "error: bad probability box: refusing bool False:"
+            " pass an int, Fraction, or string like '4/5' or '0.8'\n",
+        ),
+    ],
+    ids=["list-label", "int-label", "bool-value"],
+)
+def test_non_string_labels_and_booleans_exit_2(write_doc, capsys, doc, message):
+    path = write_doc(doc)
+    code, out, err = run(capsys, "upper", "--input", path, "--event", "a")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

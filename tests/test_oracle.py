@@ -127,6 +127,17 @@ def test_simplex_rejects_wrong_width():
         simplex_max(1, [([1], "<", 1)], [1])
 
 
+def test_simplex_rejects_binary_floats():
+    # 0.1 the float is 3602879701896397/36028797018963968, not 1/10.
+    for constraints, objective in (
+        ([([1], "<=", 0.1)], [1]),
+        ([([0.5], "<=", 1)], [1]),
+        ([([1], "<=", 1)], [0.5]),
+    ):
+        with pytest.raises(ValueError):
+            simplex_max(1, constraints, objective)
+
+
 def test_credal_frozen_values(p1):
     assert credal_upper(p1, {"a"}) == Fraction(1, 2)
     assert credal_upper(p1, {"b"}) == Fraction(4, 5)

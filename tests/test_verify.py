@@ -11,6 +11,11 @@ from possbox.verify import (
     iter_grid_pboxes,
     pbox_document,
     run_suite,
+    suite_conjunction,
+    suite_maxitive,
+    suite_multivariate,
+    suite_oracle,
+    suite_roundtrip,
 )
 
 
@@ -90,3 +95,23 @@ def test_run_suite_size_knobs():
     for knobs in ((0, None), (None, 0), (-1, 2)):
         with pytest.raises(ValueError):
             run_suite("oracle", *knobs)
+
+
+@pytest.mark.parametrize(
+    "name, suite, size_keyword",
+    [
+        ("oracle", suite_oracle, "max_classes"),
+        ("maxitive", suite_maxitive, "max_classes"),
+        ("roundtrip", suite_roundtrip, "max_domain"),
+        ("conjunction", suite_conjunction, "max_classes"),
+        ("multivariate", suite_multivariate, "max_size"),
+    ],
+)
+def test_run_suite_passes_only_the_knobs_set(name, suite, size_keyword):
+    def counts(report):
+        assert report.ok, report.counterexample
+        return report.cases, report.checks
+
+    assert counts(run_suite(name, 2, 2)) == counts(suite(**{size_keyword: 2, "grid_den": 2}))
+    assert counts(run_suite(name, 2)) == counts(suite(**{size_keyword: 2}))
+    assert counts(run_suite(name, None, 1)) == counts(suite(grid_den=1))
