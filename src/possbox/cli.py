@@ -242,6 +242,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_joint(args: argparse.Namespace) -> int:
     family = _document_marginals(_load_document(args))
+    for k, domain in enumerate(family.domains):
+        for label in domain:
+            if "|" in label:
+                raise CliError(
+                    f"marginal {k} label {label!r} contains '|', the separator of point keys"
+                )
     joint = JOINTS[args.rule](family)
     ordered = {"|".join(point): str(joint[point]) for point in family.points()}
     text = "\n".join(f"{key} = {value}" for key, value in ordered.items())

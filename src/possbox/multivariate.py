@@ -11,12 +11,14 @@ two joints to the bounds they are meant to dominate.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from possbox.possibility import PossibilityDistribution
-from possbox.rationals import ONE, ZERO
+from possbox.rationals import ONE
 
 #: Rectangle combination rules: name -> function of per-marginal measures.
 RULES = ("frechet", "independent")
@@ -140,12 +142,36 @@ def combine_rectangle(
     return _rule_combine(rule, values)
 
 
-def _nonempty_subsets(domain: Sequence[Hashable]) -> list[tuple[Hashable, ...]]:
-    out = []
-    k = len(domain)
-    for mask in range(1, 1 << k):
-        out.append(tuple(domain[i] for i in range(k) if mask >> i & 1))
-    return out
+def rectangle_values(family: MarginalFamily) -> dict[tuple[Fraction, ...], int]:
+    """Rectangles of non-empty marginal events, counted by measure vector.
+
+    A rectangle ``A_1 x .. x A_n`` enters every rule and every joint here
+    only through its vector ``(Pi_1(A_1), .., Pi_n(A_n))``.  A non-empty
+    event's measure is the largest value over it, so it is one of the
+    marginal's distinct values: a value with ``k`` labels below it and
+    ``j`` labels at it is the measure of ``2**k * (2**j - 1)`` events.
+    Maps each product of distinct values (increasing in each component) to
+    the number of rectangles with that vector; the counts sum to
+    ``prod_i (2**|domain_i| - 1)``.
+
+    >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
+    >>> pi2 = PossibilityDistribution({"s": 1, "t": 1})
+    >>> rectangle_values(MarginalFamily([pi1, pi2]))
+    {(Fraction(1, 2), Fraction(1, 1)): 3, (Fraction(1, 1), Fraction(1, 1)): 6}
+    """
+    per_marginal = []
+    for marginal in family.marginals:
+        at = Counter(v for _, v in marginal.items())
+        below = 0
+        events = []
+        for v in sorted(at):
+            events.append((v, (1 << below) * ((1 << at[v]) - 1)))
+            below += at[v]
+        per_marginal.append(events)
+    return {
+        tuple(v for v, _ in combo): prod(count for _, count in combo)
+        for combo in product(*per_marginal)
+    }
 
 
 def least_conservative_check(
@@ -167,7 +193,9 @@ def least_conservative_check(
       Once the first condition holds, the joint is a monotone function of
       the score, so its measure of a rectangle is that function at the
       rectangle's best score -- which is the componentwise maximum of the
-      per-marginal measures.
+      per-marginal measures.  Both sides thus read a rectangle only through
+      its vector of component measures, so looping over the vectors of
+      :func:`rectangle_values` checks every rectangle's inequality.
 
     Returns ``False`` as soon as either condition fails (for instance when
     checking one rule's joint against the other rule).  Raises for an
@@ -186,12 +214,7 @@ def least_conservative_check(
         if joint[point] != canonical:
             return False
 
-    subset_measures = [
-        {subset: m.measure(subset) for subset in _nonempty_subsets(domain)}
-        for m, domain in zip(family.marginals, family.domains)
-    ]
-    for rect in product(*(list(table) for table in subset_measures)):
-        values = [table[component] for table, component in zip(subset_measures, rect)]
+    for values in rectangle_values(family):
         best_score = max(values)
         joint_measure = best_score if rule == "frechet" else best_score**n
         if joint_measure < _rule_combine(rule, values):

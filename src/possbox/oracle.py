@@ -251,23 +251,28 @@ def _pivot(
 # --------------------------------------------------------------- credal LPs
 
 
-def _class_rows(box: PBox) -> list[Row]:
-    """Cumulative constraints on per-class masses.
+def _cumulative_rows(box: PBox, class_of: Sequence[int]) -> list[Row]:
+    """Cumulative constraints on masses, variable ``v`` lying in class ``class_of[v]``.
 
+    The prefix row of class ``i`` sums the variables of classes ``0..i``.
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
     The top class carries the total-mass equality.
     """
-    m = box.m
     rows: list[Row] = []
-    for i in range(m - 1):
-        prefix = [ONE] * (i + 1) + [ZERO] * (m - i - 1)
+    for i in range(box.m - 1):
+        prefix = [ONE if c <= i else ZERO for c in class_of]
         if box.upper_cdf[i] != ONE:
             rows.append((prefix, "<=", box.upper_cdf[i]))
         if box.lower_cdf[i] != ZERO:
             rows.append((prefix, ">=", box.lower_cdf[i]))
-    rows.append(([ONE] * m, "==", ONE))
+    rows.append(([ONE] * len(class_of), "==", ONE))
     return rows
+
+
+def _class_rows(box: PBox) -> list[Row]:
+    """Cumulative constraints on per-class masses."""
+    return _cumulative_rows(box, range(box.m))
 
 
 def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
@@ -309,21 +314,8 @@ def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
 
 def _element_rows(box: PBox) -> tuple[list[Label], list[Row]]:
     """The sorted elements and the box's cumulative rows, one variable per element."""
-    chain = box.chain
-    elements = sorted(chain.labels)
-    position = {label: k for k, label in enumerate(elements)}
-    n = len(elements)
-    rows: list[Row] = []
-    for i in range(chain.m - 1):
-        prefix = [ZERO] * n
-        for label in chain.class_range_labels(0, i):
-            prefix[position[label]] = ONE
-        if box.upper_cdf[i] != ONE:
-            rows.append((prefix, "<=", box.upper_cdf[i]))
-        if box.lower_cdf[i] != ZERO:
-            rows.append((prefix, ">=", box.lower_cdf[i]))
-    rows.append(([ONE] * n, "==", ONE))
-    return elements, rows
+    elements = sorted(box.chain.labels)
+    return elements, _cumulative_rows(box, [box.chain.index_of(label) for label in elements])
 
 
 def credal_upper_elements(box: PBox, event: Iterable[Label]) -> Fraction:

@@ -14,7 +14,6 @@ possibility measures.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Hashable, Iterable, Mapping
 
 from possbox.chain import Chain, Label
@@ -96,37 +95,24 @@ class PossibilityDistribution:
         return f"PossibilityDistribution({{{body}}})"
 
 
-def pbox_to_possibility(box: PBox, *, verify: bool = True) -> PossibilityDistribution | None:
+def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
     """Express a probability box's upper probability as a possibility measure.
 
     Succeeds exactly when the box is maxitive (see
     :func:`possbox.maxitive.is_maxitive`); returns ``None`` otherwise, never
     a partial distribution.  The distribution assigns each element its
-    singleton upper probability.
-
-    With ``verify`` (the default) the max-decomposition identity
-    ``upper(A) == max over x in A of upper({x})`` is re-checked on every
-    union of classes before returning -- exponential in the number of
-    classes, intended for desk-scale models.  A verification failure would
-    mean the library contradicts itself and raises :class:`RuntimeError`.
+    singleton upper probability, ``upper(class) - lower(class below)``; the
+    cost is linear in the number of elements.  The identity
+    ``upper(A) == max over x in A of upper({x})`` on every union of classes
+    is checked exhaustively by the ``roundtrip`` verification suite, not
+    here.
     """
     if not is_maxitive(box):
         return None
     chain = box.chain
     class_value = [box.upper_at(i) - box.lower_at(i - 1) for i in range(chain.m)]
     values = {label: class_value[i] for i, cls in enumerate(chain.classes) for label in cls}
-    pi = PossibilityDistribution(values)
-    if verify:
-        for size in range(1, chain.m + 1):
-            for subset in combinations(range(chain.m), size):
-                direct = box.upper_of_classes(subset)
-                by_max = max(class_value[i] for i in subset)
-                if direct != by_max:
-                    raise RuntimeError(
-                        "internal inconsistency: maxitive box failed the "
-                        f"max-decomposition identity on classes {subset}"
-                    )
-    return pi
+    return PossibilityDistribution(values)
 
 
 def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 from typing import Iterator, Sequence
 
 from possbox.chain import Chain
@@ -25,11 +26,11 @@ from possbox.maxitive import (
 )
 from possbox.multivariate import (
     MarginalFamily,
-    combine_rectangle,
     joint_frechet,
     joint_independent,
     joint_rsi_outer,
     least_conservative_check,
+    rectangle_values,
 )
 from possbox.oracle import (
     credal_intersection_equal,
@@ -386,6 +387,9 @@ def suite_multivariate(
     Fréchet and independent joints for their own rules, rectangle dominance
     of the random-set outer bound over independent products, and the
     regime comparisons between the independent and random-set bounds.
+    Rectangles are visited by vector of component measures (see
+    :func:`~possbox.multivariate.rectangle_values`); each vector adds one
+    check per rectangle of non-empty events that has it.
     """
     report = SuiteReport("multivariate")
     pool = _canonical_marginals(max_size, grid_den)
@@ -446,29 +450,15 @@ def suite_multivariate(
             if not least_conservative_check(family, independent, "independent"):
                 return fail("independent joint fails its least-conservative check")
 
-            domains = family.domains
-            component_subsets = [
-                [
-                    tuple(domain[i] for i in range(len(domain)) if mask >> i & 1)
-                    for mask in range(1, 1 << len(domain))
-                ]
-                for domain in domains
-            ]
-            measure_tables = [
-                {subset: m.measure(subset) for subset in subsets}
-                for m, subsets in zip(family.marginals, component_subsets)
-            ]
-            for rect in product(*component_subsets):
-                values = [table[c] for table, c in zip(measure_tables, rect)]
-                rsi_measure = ONE - (ONE - min(values)) ** n
-                prod_bound = ONE
-                for v in values:
-                    prod_bound *= v
-                report.checks += 1
-                if rsi_measure < prod_bound:
+            for values, count in rectangle_values(family).items():
+                report.checks += count
+                if ONE - (ONE - min(values)) ** n < prod(values):
                     return fail(
                         "random-set outer bound fails rectangle dominance",
-                        rectangle=[list(c) for c in rect],
+                        rectangle=[
+                            [next(label for label in domain if m[label] == v)]
+                            for m, domain, v in zip(family.marginals, family.domains, values)
+                        ],
                     )
     return report
 

@@ -148,6 +148,19 @@ def test_joint_rules(write_doc, capsys):
     assert json.loads(out)["pi"]["u|s"] == "51/100"
 
 
+def test_joint_refuses_labels_holding_the_key_separator(write_doc, capsys):
+    # The four points (a, c), (a, b|c), (a|b, c), (a|b, b|c) would print as
+    # three keys, since a|b|c stands for two of them.
+    doc = {"marginals": [{"a|b": "1", "a": "1/2"}, {"c": "1", "b|c": "1"}]}
+    path = write_doc(doc)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "joint", "--input", path, "--rule", "frechet", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: marginal 0 label 'a|b' contains '|', the separator of point keys\n"
+    code, out, _ = run(capsys, "validate", "--input", path)
+    assert (code, out) == (0, "valid: marginals\n")
+
+
 def test_validate(write_doc, capsys):
     path = write_doc(P1_DOC)
     code, out, _ = run(capsys, "validate", "--input", path)

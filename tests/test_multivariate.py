@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -12,6 +14,8 @@ from possbox import (
     joint_rsi_outer,
     least_conservative_check,
 )
+from possbox.multivariate import rectangle_values
+from possbox.verify import _canonical_marginals
 
 
 @pytest.fixture
@@ -181,3 +185,41 @@ def test_rectangles_are_dominated_by_joint_measures():
             for joint, rule in ((frechet, "frechet"), (independent, "independent")):
                 measure = max(joint[p] for p in rect_points)
                 assert measure >= combine_rectangle(family, (first, second), rule)
+
+
+def _brute_force_rectangle_values(family):
+    """Measure vectors of every rectangle of non-empty events, by enumeration."""
+    events = [
+        [combo for k in range(1, len(domain) + 1) for combo in combinations(domain, k)]
+        for domain in family.domains
+    ]
+    return Counter(
+        tuple(m.measure(event) for m, event in zip(family.marginals, rect))
+        for rect in product(*events)
+    )
+
+
+def test_rectangle_values_match_enumeration_on_the_suite_pool():
+    pool = _canonical_marginals(3, 4)
+    assert len(pool) ** 2 == 441
+    for chosen in product(pool, repeat=2):
+        family = MarginalFamily(chosen)
+        assert rectangle_values(family) == _brute_force_rectangle_values(family)
+
+
+def test_rectangle_values_with_ties_and_zero():
+    family = MarginalFamily(
+        [
+            PossibilityDistribution({"a": "0", "b": "1/2", "c": "1/2", "d": "1"}),
+            PossibilityDistribution({"s": "0", "t": "1", "u": "1"}),
+            PossibilityDistribution({"w": "1"}),
+        ]
+    )
+    table = rectangle_values(family)
+    assert table == _brute_force_rectangle_values(family)
+    assert sum(table.values()) == prod(2 ** len(d) - 1 for d in family.domains) == 15 * 7
+    half = Fraction(1, 2)
+    # 1/2 is the top of the events {b}, {c}, {b, c} and the same three with a.
+    assert table[(half, 1, 1)] == 6 * 6
+    assert table[(0, 0, 1)] == 1
+    assert len(table) == 3 * 2 * 1

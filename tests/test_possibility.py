@@ -71,6 +71,23 @@ def test_pbox_to_possibility_matches_upper_everywhere(p1, q, r, precise):
                 assert pi.measure(event) == box.upper(event)
 
 
+def test_pbox_to_possibility_reads_only_the_cumulative_vectors(monkeypatch):
+    # Conversion must not re-check the max-decomposition identity on the
+    # 2^m unions of classes; no closed-form upper value may be asked for.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pbox_to_possibility evaluated an upper probability")
+
+    monkeypatch.setattr(PBox, "upper_of_classes", refuse)
+    monkeypatch.setattr(PBox, "upper_on_union", refuse)
+    m = 12
+    chain = Chain([[f"x{i}"] for i in range(m)])
+    upper = [Fraction(i + 1, m) for i in range(m)]
+    box = PBox(chain, ["0"] * (m - 1) + ["1"], upper)
+    pi = pbox_to_possibility(box)
+    assert pi is not None
+    assert [pi[f"x{i}"] for i in range(m)] == upper
+
+
 def test_possibility_to_pbox_two_point():
     pi = PossibilityDistribution({"x1": "1/2", "x2": "1"})
     chain, box = possibility_to_pbox(pi)
