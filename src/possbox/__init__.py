@@ -31,7 +31,6 @@ from possbox.oracle import (
     credal_lower,
     credal_upper,
     credal_upper_classes,
-    credal_upper_elements,
     exhaustive_max_preserving,
 )
 from possbox.pbox import PBox
@@ -62,7 +61,6 @@ __all__ = [
     "credal_lower",
     "credal_upper",
     "credal_upper_classes",
-    "credal_upper_elements",
     "exhaustive_max_preserving",
     "is_maxitive",
     "joint_frechet",

@@ -41,18 +41,17 @@ class Chain:
     __slots__ = ("classes", "_index")
 
     def __init__(self, classes: Iterable[Iterable[Label]]):
-        normalized = tuple(frozenset(cls) for cls in classes)
-        if not normalized:
+        listed = [list(cls) for cls in classes]
+        if not listed:
             raise ValueError("a chain needs at least one class")
         index: dict[Label, int] = {}
-        for i, cls in enumerate(normalized):
+        for i, cls in enumerate(listed):
             if not cls:
                 raise ValueError(f"class {i} is empty")
             for label in cls:
-                if label in index:
+                if index.setdefault(label, i) != i:
                     raise ValueError(f"label {label!r} appears in more than one class")
-                index[label] = i
-        self.classes = normalized
+        self.classes = tuple(frozenset(cls) for cls in listed)
         self._index = index
 
     # ------------------------------------------------------------ queries
@@ -84,19 +83,22 @@ class Chain:
     # ------------------------------------------------------------- events
 
     def event(self, labels: Iterable[Label]) -> frozenset[Label]:
-        """Normalize an event, rejecting labels outside the space."""
-        ev = frozenset(labels)
-        for label in ev:
+        """Normalize an event, rejecting labels outside the space.
+
+        The first unknown label in the caller's order is the one reported.
+        """
+        listed = list(labels)
+        for label in listed:
             if label not in self._index:
                 raise ValueError(f"unknown label {label!r}")
-        return ev
+        return frozenset(listed)
 
     def complement(self, labels: Iterable[Label]) -> frozenset[Label]:
         return self.labels - self.event(labels)
 
     def classes_hit(self, labels: Iterable[Label]) -> tuple[int, ...]:
         """Sorted indices of the classes an event intersects."""
-        return tuple(sorted({self.index_of(label) for label in set(labels)}))
+        return tuple(sorted({self.index_of(label) for label in labels}))
 
     def class_range_labels(self, lo: int, hi: int) -> frozenset[Label]:
         """Union of the classes with index in ``lo..hi`` (empty if lo > hi)."""

@@ -12,19 +12,19 @@ pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
 integer numerator over one common denominator and no ``Fraction`` is built
 until the optimum is returned.  Callers ask many objectives over one
 region (every event of one box), so the feasible basis found by phase 1 is
-kept for the last :data:`PHASE_ONE_MEMO_SIZE` regions and each call runs
-phase 2 alone from a copy of it.
+remembered for the one region solved last and each further call over it
+runs phase 2 alone from a copy of it.
 
-Masses live on quotient classes: within a class, mass can sit on any
-element, so a class intersecting the target event contributes in full.  The
-reduction is itself cross-checked against an element-level program by
-:func:`credal_upper_elements`.
+Masses live on elements, one variable each, listed class by class, so a
+chain of singleton classes has one variable per class.  The programs never
+use the quotient reduction the closed forms rest on (mass inside a class can
+sit on any element); comparing the two routes on chains with tied classes
+checks it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -34,12 +34,6 @@ from possbox.possibility import PossibilityDistribution
 from possbox.rationals import ONE, ZERO, exact
 
 Row = tuple[Sequence[Fraction], str, Fraction]
-
-#: Regions whose phase-1 result is kept, most recently solved first.  Two
-#: covers :func:`credal_intersection_equal`, which alternates between the
-#: box's rows and the possibility rows; a sweep moves to a new region with
-#: each box, so a larger memo would keep nothing a later call asks for.
-PHASE_ONE_MEMO_SIZE = 2
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
@@ -63,7 +57,9 @@ class _Start(NamedTuple):
     width: int
 
 
-_phase_one_memo: list[tuple[tuple, _Start | None]] = []
+#: The region solved last and its phase-1 result.  Every caller in this
+#: module finishes one region's objectives before it moves to the next.
+_remembered: tuple[tuple, _Start | None] | None = None
 
 
 def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[object]) -> Fraction:
@@ -72,13 +68,12 @@ def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[o
     ``constraints`` are ``(coefficients, sense, rhs)`` with sense one of
     ``"<="``, ``">="``, ``"=="``; coefficients, right-hand sides and costs
     are exact rationals as :func:`~possbox.rationals.exact` reads them, so a
-    binary float raises ``ValueError`` (rows equal to a memoised region's
+    binary float raises ``ValueError`` (rows equal to the remembered region's
     are not read again).  Exact two-phase simplex with
     Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
-    runs once per region while the region is among the last
-    :data:`PHASE_ONE_MEMO_SIZE` asked for; an infeasible region raises
-    :class:`Infeasible` on every call.  A constraint or objective wider than
-    ``num_vars`` raises ``ValueError``.  Assumes a bounded optimum (every
+    runs once for a run of calls over the same region; an infeasible region
+    raises :class:`Infeasible` on every call.  A constraint or objective
+    wider than ``num_vars`` raises ``ValueError``.  Assumes a bounded optimum (every
     system in this module lives inside the probability simplex) and raises
     ``ArithmeticError`` otherwise.
     """
@@ -100,14 +95,11 @@ def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[o
 
 
 def _phase_one(key: tuple) -> _Start | None:
-    """The memoised feasible basis of a region, or ``None`` if it is empty."""
-    for cached, start in _phase_one_memo:
-        if cached == key:
-            return start
-    start = _solve_phase_one(*key)
-    _phase_one_memo.insert(0, (key, start))
-    del _phase_one_memo[PHASE_ONE_MEMO_SIZE:]
-    return start
+    """The feasible basis of a region, or ``None`` if it is empty."""
+    global _remembered
+    if _remembered is None or _remembered[0] != key:
+        _remembered = (key, _solve_phase_one(*key))
+    return _remembered[1]
 
 
 def _solve_phase_one(num_vars: int, constraints: tuple) -> _Start | None:
@@ -251,46 +243,52 @@ def _pivot(
 # --------------------------------------------------------------- credal LPs
 
 
-def _cumulative_rows(box: PBox, class_of: Sequence[int]) -> list[Row]:
-    """Cumulative constraints on masses, variable ``v`` lying in class ``class_of[v]``.
+def _elements(box: PBox) -> list[Label]:
+    """The box's elements, class by class: the order of the mass variables."""
+    return [label for cls in box.chain.classes for label in sorted(cls)]
 
-    The prefix row of class ``i`` sums the variables of classes ``0..i``.
+
+def _element_rows(box: PBox) -> list[Row]:
+    """The box's cumulative constraints on element masses, listed class by class.
+
+    The prefix row of class ``i`` sums the masses of classes ``0..i``.
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
     The top class carries the total-mass equality.
     """
+    sizes = [len(cls) for cls in box.chain.classes]
+    n = sum(sizes)
     rows: list[Row] = []
+    covered = 0
     for i in range(box.m - 1):
-        prefix = [ONE if c <= i else ZERO for c in class_of]
+        covered += sizes[i]
+        prefix = [ONE] * covered + [ZERO] * (n - covered)
         if box.upper_cdf[i] != ONE:
             rows.append((prefix, "<=", box.upper_cdf[i]))
         if box.lower_cdf[i] != ZERO:
             rows.append((prefix, ">=", box.lower_cdf[i]))
-    rows.append(([ONE] * len(class_of), "==", ONE))
+    rows.append(([ONE] * n, "==", ONE))
     return rows
 
 
-def _class_rows(box: PBox) -> list[Row]:
-    """Cumulative constraints on per-class masses."""
-    return _cumulative_rows(box, range(box.m))
+def _credal_max(box: PBox, objective: list[Fraction]) -> Fraction:
+    """LP optimum of an objective on the element masses over the box's credal set."""
+    try:
+        return simplex_max(len(objective), _element_rows(box), objective)
+    except Infeasible:  # pragma: no cover - valid boxes always admit a distribution
+        raise RuntimeError("credal set of a valid probability box came up empty") from None
 
 
 def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
     """LP optimum for a union of classes given by index."""
-    hit = sorted(set(indices))
+    hit = set(indices)
     if not hit:
         return ZERO
-    m = box.m
-    for i in hit:
-        if not 0 <= i < m:
+    for i in sorted(hit):
+        if not 0 <= i < box.m:
             raise ValueError(f"class index {i} out of range")
-    objective = [ZERO] * m
-    for i in hit:
-        objective[i] = ONE
-    try:
-        return simplex_max(m, _class_rows(box), objective)
-    except Infeasible:  # pragma: no cover - valid boxes always admit a distribution
-        raise RuntimeError("credal set of a valid probability box came up empty") from None
+    objective = [ONE if i in hit else ZERO for i, cls in enumerate(box.chain.classes) for _ in cls]
+    return _credal_max(box, objective)
 
 
 def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
@@ -304,30 +302,15 @@ def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
     >>> credal_upper(box, {"a", "c"})
     Fraction(1, 1)
     """
-    return credal_upper_classes(box, box.chain.classes_hit(event))
+    hit = box.chain.event(event)
+    if not hit:
+        return ZERO
+    return _credal_max(box, [ONE if label in hit else ZERO for label in _elements(box)])
 
 
 def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
     """Minimum probability of an event over the credal set, by conjugacy."""
     return ONE - credal_upper(box, box.chain.complement(event))
-
-
-def _element_rows(box: PBox) -> tuple[list[Label], list[Row]]:
-    """The sorted elements and the box's cumulative rows, one variable per element."""
-    elements = sorted(box.chain.labels)
-    return elements, _cumulative_rows(box, [box.chain.index_of(label) for label in elements])
-
-
-def credal_upper_elements(box: PBox, event: Iterable[Label]) -> Fraction:
-    """Element-level variant of :func:`credal_upper`.
-
-    One mass variable per element instead of per class; used to validate
-    the mass-on-classes reduction on chains with non-singleton classes.
-    """
-    elements, rows = _element_rows(box)
-    hit = box.chain.event(event)
-    objective = [ONE if label in hit else ZERO for label in elements]
-    return simplex_max(len(elements), rows, objective)
 
 
 # ------------------------------------------------------------ whole-model checks
@@ -359,27 +342,20 @@ def exhaustive_max_preserving(
     """Semantic maxitivity check: ``upper(A or B) == max(upper(A), upper(B))``.
 
     Enumerates every pair of class unions (events intersecting the same
-    classes share their upper probability, so this covers all event pairs).
-    ``upper`` defaults to the LP oracle; pass
-    ``lambda box, subset: box.upper_of_classes(subset)`` to check the
-    closed-form route instead.
+    classes share their upper probability, so this covers all event pairs),
+    each union indexed by its bitmask over the class indices.
+    ``upper`` receives the union as a sorted index tuple and defaults to
+    the LP oracle; pass ``lambda box, subset: box.upper_of_classes(subset)``
+    to check the closed-form route instead.
     """
     m = box.m
     if m > max_classes:
         raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {max_classes}")
     if upper is None:
         upper = credal_upper_classes
-    subsets: list[tuple[int, ...]] = []
-    for size in range(m + 1):
-        subsets.extend(combinations(range(m), size))
-    value = {s: upper(box, s) for s in subsets}
-    for a in subsets:
-        sa = set(a)
-        for b in subsets:
-            union = tuple(sorted(sa | set(b)))
-            if value[union] != max(value[a], value[b]):
-                return False
-    return True
+    masks = range(1 << m)
+    value = [upper(box, tuple(i for i in range(m) if mask >> i & 1)) for mask in masks]
+    return all(value[a | b] == max(value[a], value[b]) for a in masks for b in masks)
 
 
 def credal_intersection_equal(
@@ -400,24 +376,26 @@ def credal_intersection_equal(
     chain = box.chain
     if pi_one.labels != chain.labels or pi_two.labels != chain.labels:
         raise ValueError("distributions must share the box's element set")
-    elements, box_rows = _element_rows(box)
+    elements = _elements(box)
     n = len(elements)
     if n > max_elements:
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")
+    box_rows = _element_rows(box)
 
     poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
-    events: list[tuple[int, ...]] = []
+    objectives: list[list[Fraction]] = []
     for mask in range(1, 1 << n):
-        members = tuple(k for k in range(n) if mask >> k & 1)
-        events.append(members)
-        indicator = [ONE if k in members else ZERO for k in range(n)]
+        indicator = [ONE if mask >> k & 1 else ZERO for k in range(n)]
+        objectives.append(indicator)
+        members = [elements[k] for k in range(n) if mask >> k & 1]
         for pi in (pi_one, pi_two):
-            bound = pi.measure(elements[k] for k in members)
+            bound = pi.measure(members)
             if bound != ONE:
                 poss_rows.append((indicator, "<=", bound))
 
-    for members in events:
-        objective = [ONE if k in members else ZERO for k in range(n)]
-        if simplex_max(n, box_rows, objective) != simplex_max(n, poss_rows, objective):
-            return False
-    return True
+    # All of one region's objectives before the other's: phase 1 runs once each.
+    optima = [simplex_max(n, box_rows, objective) for objective in objectives]
+    return all(
+        simplex_max(n, poss_rows, objective) == optimum
+        for objective, optimum in zip(objectives, optima)
+    )

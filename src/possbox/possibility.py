@@ -79,7 +79,7 @@ class PossibilityDistribution:
     def measure(self, event: Iterable[Hashable]) -> Fraction:
         """Possibility of an event: the maximum value over its elements."""
         best = ZERO
-        for label in set(event):
+        for label in event:
             v = self[label]
             if v > best:
                 best = v

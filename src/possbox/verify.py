@@ -364,15 +364,12 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
 
 def _canonical_marginals(max_size: int, grid_den: int) -> list[PossibilityDistribution]:
     """One representative marginal per value multiset (labels are positional)."""
-    pool: list[PossibilityDistribution] = []
     values = grid_values(grid_den)
-    for size in range(1, max_size + 1):
-        labels = [f"e{j}" for j in range(size)]
-        for vec in combinations_with_replacement(values, size):
-            if vec[-1] != ONE:
-                continue
-            pool.append(PossibilityDistribution(dict(zip(labels, vec))))
-    return pool
+    return [
+        PossibilityDistribution({f"e{j}": v for j, v in enumerate(vec)})
+        for size in range(1, max_size + 1)
+        for vec in iter_cdf_vectors(size, values)
+    ]
 
 
 def suite_multivariate(

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import possbox
 from possbox.cli import main
 
 P2_DOC = {
@@ -261,3 +265,35 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "doc, argv, line",
+    [
+        (
+            {"classes": [["a", "b"], ["c", "b", "a"]], "lower": ["0", "1"], "upper": ["1", "1"]},
+            ["validate"],
+            "error: bad \"classes\": label 'b' appears in more than one class",
+        ),
+        (
+            {"classes": [["x"], ["y"]], "lower": ["1/2", "1"], "upper": ["1", "1"]},
+            ["upper", "--event", "a,c,d"],
+            "error: unknown label 'a'",
+        ),
+    ],
+    ids=["validate", "upper"],
+)
+def test_error_line_names_the_first_offender_under_any_hash_seed(write_doc, doc, argv, line):
+    path = write_doc(doc)
+    source = str(Path(possbox.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "possbox.cli", *argv, "--input", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n"), seed

@@ -13,12 +13,11 @@ from possbox import (
     credal_intersection_equal,
     credal_lower,
     credal_upper,
-    credal_upper_elements,
     exhaustive_max_preserving,
 )
 from possbox import oracle
 from possbox.oracle import Infeasible, simplex_max
-from possbox.verify import iter_grid_pboxes
+from possbox.verify import grid_values, iter_cdf_vectors, iter_grid_pboxes
 
 
 def test_simplex_small_known_optima():
@@ -74,8 +73,10 @@ def test_simplex_fractional_negative_and_string_coefficients():
     assert simplex_max(2, rows, []) == 0
 
 
-def test_phase_one_runs_once_per_region(p1, monkeypatch):
-    oracle._phase_one_memo.clear()
+@pytest.fixture
+def phase_one_calls(monkeypatch):
+    """Keys of the phase-1 solves made from now on, nothing remembered."""
+    monkeypatch.setattr(oracle, "_remembered", None)
     calls = []
     solve = oracle._solve_phase_one
 
@@ -84,27 +85,36 @@ def test_phase_one_runs_once_per_region(p1, monkeypatch):
         return solve(*key)
 
     monkeypatch.setattr(oracle, "_solve_phase_one", counting)
+    return calls
+
+
+def test_phase_one_runs_once_per_region(p1, phase_one_calls):
     for k in range(4):
         for subset in combinations(range(3), k):
             oracle.credal_upper_classes(p1, subset)
-    assert len(calls) == 1
-    assert len(oracle._phase_one_memo) <= oracle.PHASE_ONE_MEMO_SIZE
+    rows = oracle._element_rows(p1)
+    assert phase_one_calls == [(3, tuple((tuple(c), s, r) for c, s, r in rows))]
+
+
+def test_intersection_check_runs_phase_one_once_per_region(p2, phase_one_calls):
+    assert credal_intersection_equal(p2, *conjunction_decompose(p2))
+    assert len(phase_one_calls) == 2
 
 
 def test_memo_keeps_alternating_regions_apart(p1, p2, q):
-    regions = [oracle._class_rows(box) for box in (p1, p2, q)]
+    regions = [oracle._element_rows(box) for box in (p1, p2, q)]
     objectives = [[1, 0, 0], [0, 1, 1], ["1/2", 0, "-1/3"], [0, 0, 1]]
     fresh = {}
     for r, rows in enumerate(regions):
         for o, objective in enumerate(objectives):
-            oracle._phase_one_memo.clear()
+            oracle._remembered = None
             fresh[r, o] = simplex_max(3, rows, objective)
     pairs = list(fresh)
     orders = [pairs, pairs[::-1], sorted(pairs, key=lambda ro: (ro[1], ro[0]))]
     rng = random.Random(7)
     orders += [rng.sample(pairs, len(pairs)) for _ in range(5)]
     for order in orders:
-        oracle._phase_one_memo.clear()
+        oracle._remembered = None
         for r, o in order:
             assert simplex_max(3, regions[r], objectives[o]) == fresh[r, o]
 
@@ -160,33 +170,35 @@ def test_credal_matches_formula_on_fixtures(p1, p2, q, r, precise):
 
 def test_adding_constraints_never_raises_optimum(p2):
     # Shrinking the feasible set can only lower a maximum.
-    from possbox.oracle import _class_rows
-
-    rows = _class_rows(p2)
+    rows = oracle._element_rows(p2)
     base = simplex_max(3, rows, [0, 1, 0])
     capped = simplex_max(3, rows + [([0, 1, 0], "<=", Fraction(1, 10))], [0, 1, 0])
     assert capped <= base
     assert capped == Fraction(1, 10)
 
 
-def test_element_level_program_agrees_with_class_level():
+def test_oracle_matches_formula_on_tied_chains():
+    # The closed forms let a class's mass sit on any of its elements; the
+    # oracle has one mass variable per element, so this checks that reduction.
     chains = [
         Chain([["a", "b"], ["c"]]),
         Chain([["a"], ["b", "c", "d"]]),
         Chain([["a", "b"], ["c"], ["d", "e"]]),
     ]
-    vectors = {
-        2: (["1/4", "1"], ["3/4", "1"]),
-        3: (["0", "1/2", "1"], ["1/4", "3/4", "1"]),
-    }
     for chain in chains:
-        lower, upper = vectors[chain.m]
-        box = PBox(chain, lower, upper)
         labels = sorted(chain.labels)
-        for k in range(len(labels) + 1):
-            for combo in combinations(labels, k):
-                event = frozenset(combo)
-                assert credal_upper_elements(box, event) == credal_upper(box, event)
+        events = [
+            frozenset(combo) for k in range(len(labels) + 1) for combo in combinations(labels, k)
+        ]
+        vectors = list(iter_cdf_vectors(chain.m, grid_values(4)))
+        for lower in vectors:
+            for upper in vectors:
+                if any(lo > up for lo, up in zip(lower, upper)):
+                    continue
+                box = PBox(chain, lower, upper)
+                for event in events:
+                    assert credal_upper(box, event) == box.upper(event)
+                    assert credal_lower(box, event) == box.lower(event)
 
 
 def test_check_coherence_on_fixtures(p1, p2, q, r, precise):

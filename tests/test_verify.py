@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from possbox import verify
+from possbox.cli import main
 from possbox.verify import (
     SUITES,
     SuiteReport,
@@ -115,3 +118,24 @@ def test_run_suite_passes_only_the_knobs_set(name, suite, size_keyword):
     assert counts(run_suite(name, 2, 2)) == counts(suite(**{size_keyword: 2, "grid_den": 2}))
     assert counts(run_suite(name, 2)) == counts(suite(**{size_keyword: 2}))
     assert counts(run_suite(name, None, 1)) == counts(suite(grid_den=1))
+
+
+@pytest.mark.parametrize(
+    "suite, compared, reported",
+    [("oracle", "credal_upper_classes", "closed_form"), ("maxitive", "upper_01_lower", "general")],
+)
+def test_a_wrong_answer_fails_with_a_replayable_counterexample(
+    monkeypatch, capsys, tmp_path, suite, compared, reported
+):
+    right = getattr(verify, compared)
+    monkeypatch.setattr(verify, compared, lambda *args: right(*args) + Fraction(1, 128))
+    assert main(["verify", "--suite", suite, "--max-classes", "2", "--grid", "2", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    counterexample = payload["counterexample"]
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
+    event = ",".join(counterexample["event"])
+    assert main(["upper", "--input", str(path), "--event", event, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"upper": counterexample[reported]}
