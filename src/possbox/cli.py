@@ -37,18 +37,19 @@ class CliError(Exception):
 
 
 def _load_document(args: argparse.Namespace) -> dict:
-    if args.input and args.input != "-":
-        try:
+    try:
+        if args.input and args.input != "-":
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}") from exc
-    else:
-        text = sys.stdin.read()
-    try:
+        else:
+            text = sys.stdin.read()
         doc = json.loads(text)
+    except OSError as exc:
+        raise CliError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, a huge integer
+        raise CliError(f"unreadable document: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError("model document must be a JSON object")
     if not any(key in doc for key in ("classes", "pi", "marginals")):

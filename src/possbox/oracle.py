@@ -11,9 +11,9 @@ The simplex runs on an integer tableau: each row is scaled to integers and
 pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
 integer numerator over one common denominator and no ``Fraction`` is built
 until the optimum is returned.  Callers ask many objectives over one
-region (every event of one box), so the feasible basis found by phase 1 is
-remembered for the one region solved last and each further call over it
-runs phase 2 alone from a copy of it.
+region (every event of one box): a :class:`Region` runs phase 1 once, when
+built, and each call given it runs phase 2 alone.  The credal routines keep
+the last box's region, keyed on the box, which is immutable and exact.
 
 Masses live on elements, one variable each, listed class by class, so a
 chain of singleton classes has one variable per class.  The programs never
@@ -25,8 +25,9 @@ checks it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from possbox.chain import Label
 from possbox.pbox import PBox
@@ -34,6 +35,8 @@ from possbox.possibility import PossibilityDistribution
 from possbox.rationals import ONE, ZERO, exact
 
 Row = tuple[Sequence[Fraction], str, Fraction]
+#: An upper probability of a union of classes, given as a sorted index tuple.
+ClassUpper = Callable[[PBox, tuple[int, ...]], Fraction]
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
@@ -42,128 +45,117 @@ class Infeasible(Exception):
     """The linear system has no feasible point."""
 
 
-class _Start(NamedTuple):
-    """A feasible basis of one region: the phase-2 starting point.
+class Region:
+    """A linear system's rows, as given and read once through ``exact``, and its phase 1.
 
-    ``rows`` are integer numerators over the common denominator ``d > 0``,
-    artificial columns removed, the right-hand side last; ``width`` counts
-    the structural and slack columns.  Rows are never mutated in place, so
-    a copy of the outer sequence is a copy of the tableau.
+    ``tableau`` is a feasible basis (``None`` if the region is empty): integer
+    numerators over the common denominator ``d > 0``, artificial columns
+    removed, the right-hand side last, ``basis`` its basic columns.  ``width``
+    counts the structural and slack columns.  Rows are never mutated in
+    place, so a copy of the outer sequence is a copy of the tableau.
     """
 
-    rows: tuple[list[int], ...]
-    basis: tuple[int, ...]
-    d: int
-    width: int
+    def __init__(self, num_vars: int, constraints: Iterable[Row]):
+        self.num_vars = num_vars
+        self.constraints = tuple(constraints)
+        self.tableau, self.basis, self.d = None, (), 1
+        scaled: list[tuple[list[int], str, int]] = []
+        for coeffs, sense, rhs in self.constraints:
+            if len(coeffs) != num_vars:
+                raise ValueError("constraint width does not match the variable count")
+            if sense not in _FLIPPED:
+                raise ValueError(f"unknown constraint sense {sense!r}")
+            row = [exact(c) for c in coeffs]
+            rhs = exact(rhs)
+            if rhs < 0:
+                row = [-c for c in row]
+                rhs = -rhs
+                sense = _FLIPPED[sense]
+            scale = lcm(rhs.denominator, *(c.denominator for c in row))
+            ints = [c.numerator * (scale // c.denominator) for c in row]
+            scaled.append((ints, sense, rhs.numerator * (scale // rhs.denominator)))
+
+        n_slack = sum(1 for _, sense, _ in scaled if sense != "==")
+        n_art = sum(1 for _, sense, _ in scaled if sense != "<=")
+        art_start = self.width = num_vars + n_slack
+
+        tableau: list[list[int]] = []
+        basis: list[int] = []
+        slack_i = num_vars
+        art_i = art_start
+        for ints, sense, rhs in scaled:
+            row = ints + [0] * (n_slack + n_art) + [rhs]
+            if sense != "==":
+                row[slack_i] = 1 if sense == "<=" else -1
+                slack_i += 1
+            if sense == "<=":
+                basis.append(slack_i - 1)
+            else:
+                row[art_i] = 1
+                basis.append(art_i)
+                art_i += 1
+            tableau.append(row)
+
+        d = 1
+        if n_art:
+            cost = [0] * art_start + [-1] * n_art
+            tableau.append(_objective_row(tableau, basis, cost, d))
+            d = _bland(tableau, basis, d)
+            if tableau.pop()[-1] != 0:
+                return
+            # Drive the artificials left in the basis (all at level zero) out of
+            # it; a row with no structural or slack entry is a redundant equality.
+            i = 0
+            while i < len(tableau):
+                if basis[i] >= art_start:
+                    row = tableau[i]
+                    j = next((j for j in range(art_start) if row[j]), -1)
+                    if j < 0:
+                        del tableau[i]
+                        del basis[i]
+                        continue
+                    d = _pivot(tableau, basis, i, j, d)
+                i += 1
+            tableau = [row[:art_start] + [row[-1]] for row in tableau]
+        self.tableau, self.basis, self.d = tuple(tableau), tuple(basis), d
 
 
-#: The region solved last and its phase-1 result.  Every caller in this
-#: module finishes one region's objectives before it moves to the next.
-_remembered: tuple[tuple, _Start | None] | None = None
-
-
-def simplex_max(num_vars: int, constraints: Iterable[Row], objective: Sequence[object]) -> Fraction:
+def simplex_max(
+    num_vars: int, constraints: Iterable[Row], objective: Sequence[object],
+    *, region: Region | None = None,
+) -> Fraction:
     """Maximize ``objective . x`` over ``x >= 0`` subject to ``constraints``.
 
     ``constraints`` are ``(coefficients, sense, rhs)`` with sense one of
     ``"<="``, ``">="``, ``"=="``; coefficients, right-hand sides and costs
     are exact rationals as :func:`~possbox.rationals.exact` reads them, so a
-    binary float raises ``ValueError`` (rows equal to the remembered region's
-    are not read again).  Exact two-phase simplex with
+    binary float raises ``ValueError``.  Exact two-phase simplex with
     Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
-    runs once for a run of calls over the same region; an infeasible region
-    raises :class:`Infeasible` on every call.  A constraint or objective
-    wider than ``num_vars`` raises ``ValueError``.  Assumes a bounded optimum (every
-    system in this module lives inside the probability simplex) and raises
+    runs on a fresh :class:`Region` unless ``region``, built from these same
+    row objects, is given (other rows or ``num_vars`` raise ``ValueError``);
+    no call remembers another.  An infeasible region raises
+    :class:`Infeasible`.  A constraint or objective wider than ``num_vars``
+    raises ``ValueError``.  Assumes a bounded optimum (every system in this
+    module lives inside the probability simplex) and raises
     ``ArithmeticError`` otherwise.
     """
-    key = (num_vars, tuple((tuple(coeffs), sense, rhs) for coeffs, sense, rhs in constraints))
+    if region is None:
+        region = Region(num_vars, constraints)
+    elif num_vars != region.num_vars or [*map(id, constraints)] != [*map(id, region.constraints)]:
+        raise ValueError("constraints are not the rows the region was built from")
     costs = [c if isinstance(c, (int, Fraction)) else exact(c) for c in objective]
     if len(costs) > num_vars:
         raise ValueError("objective width exceeds the variable count")
-    start = _phase_one(key)
-    if start is None:
+    if region.tableau is None:
         raise Infeasible
     scale = lcm(*(c.denominator for c in costs))
     cost = [c.numerator * (scale // c.denominator) for c in costs]
-    cost += [0] * (start.width - len(cost))
-    tableau = list(start.rows)
-    basis = list(start.basis)
-    tableau.append(_objective_row(tableau, basis, cost, start.d))
-    d = _bland(tableau, basis, start.d)
+    cost += [0] * (region.width - len(cost))
+    tableau = list(region.tableau)
+    basis = list(region.basis)
+    tableau.append(_objective_row(tableau, basis, cost, region.d))
+    d = _bland(tableau, basis, region.d)
     return Fraction(tableau[-1][-1], d * scale)
-
-
-def _phase_one(key: tuple) -> _Start | None:
-    """The feasible basis of a region, or ``None`` if it is empty."""
-    global _remembered
-    if _remembered is None or _remembered[0] != key:
-        _remembered = (key, _solve_phase_one(*key))
-    return _remembered[1]
-
-
-def _solve_phase_one(num_vars: int, constraints: tuple) -> _Start | None:
-    scaled: list[tuple[list[int], str, int]] = []
-    for coeffs, sense, rhs in constraints:
-        if len(coeffs) != num_vars:
-            raise ValueError("constraint width does not match the variable count")
-        if sense not in _FLIPPED:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        row = [exact(c) for c in coeffs]
-        rhs = exact(rhs)
-        if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
-            sense = _FLIPPED[sense]
-        scale = lcm(rhs.denominator, *(c.denominator for c in row))
-        ints = [c.numerator * (scale // c.denominator) for c in row]
-        scaled.append((ints, sense, rhs.numerator * (scale // rhs.denominator)))
-
-    n_slack = sum(1 for _, sense, _ in scaled if sense != "==")
-    n_art = sum(1 for _, sense, _ in scaled if sense != "<=")
-    art_start = num_vars + n_slack
-
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    slack_i = num_vars
-    art_i = art_start
-    for ints, sense, rhs in scaled:
-        row = ints + [0] * (n_slack + n_art) + [rhs]
-        if sense == "<=":
-            row[slack_i] = 1
-            basis.append(slack_i)
-            slack_i += 1
-        else:
-            if sense == ">=":
-                row[slack_i] = -1
-                slack_i += 1
-            row[art_i] = 1
-            basis.append(art_i)
-            art_i += 1
-        tableau.append(row)
-
-    d = 1
-    if n_art:
-        cost = [0] * art_start + [-1] * n_art
-        tableau.append(_objective_row(tableau, basis, cost, d))
-        d = _bland(tableau, basis, d)
-        if tableau.pop()[-1] != 0:
-            return None
-        # Drive the artificials left in the basis (all at level zero) out of
-        # it; a row with no structural or slack entry is a redundant equality.
-        i = 0
-        while i < len(tableau):
-            if basis[i] >= art_start:
-                row = tableau[i]
-                j = next((j for j in range(art_start) if row[j]), -1)
-                if j < 0:
-                    del tableau[i]
-                    del basis[i]
-                    continue
-                d = _pivot(tableau, basis, i, j, d)
-            i += 1
-        tableau = [row[:art_start] + [row[-1]] for row in tableau]
-    return _Start(tuple(tableau), tuple(basis), d, art_start)
 
 
 def _objective_row(
@@ -248,13 +240,15 @@ def _elements(box: PBox) -> list[Label]:
     return [label for cls in box.chain.classes for label in sorted(cls)]
 
 
-def _element_rows(box: PBox) -> list[Row]:
-    """The box's cumulative constraints on element masses, listed class by class.
+@lru_cache(maxsize=1)
+def _box_region(box: PBox) -> Region:
+    """The box's credal set: cumulative constraints on element masses, class by class.
 
     The prefix row of class ``i`` sums the masses of classes ``0..i``.
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
-    The top class carries the total-mass equality.
+    The top class carries the total-mass equality.  One slot keeps the
+    region of the last box asked about.
     """
     sizes = [len(cls) for cls in box.chain.classes]
     n = sum(sizes)
@@ -268,15 +262,10 @@ def _element_rows(box: PBox) -> list[Row]:
         if box.lower_cdf[i] != ZERO:
             rows.append((prefix, ">=", box.lower_cdf[i]))
     rows.append(([ONE] * n, "==", ONE))
-    return rows
-
-
-def _credal_max(box: PBox, objective: list[Fraction]) -> Fraction:
-    """LP optimum of an objective on the element masses over the box's credal set."""
-    try:
-        return simplex_max(len(objective), _element_rows(box), objective)
-    except Infeasible:  # pragma: no cover - valid boxes always admit a distribution
-        raise RuntimeError("credal set of a valid probability box came up empty") from None
+    region = Region(n, rows)
+    if region.tableau is None:  # pragma: no cover - valid boxes always admit a distribution
+        raise RuntimeError("credal set of a valid probability box came up empty")
+    return region
 
 
 def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
@@ -288,7 +277,8 @@ def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
         if not 0 <= i < box.m:
             raise ValueError(f"class index {i} out of range")
     objective = [ONE if i in hit else ZERO for i, cls in enumerate(box.chain.classes) for _ in cls]
-    return _credal_max(box, objective)
+    region = _box_region(box)
+    return simplex_max(region.num_vars, region.constraints, objective, region=region)
 
 
 def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
@@ -305,7 +295,9 @@ def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
     hit = box.chain.event(event)
     if not hit:
         return ZERO
-    return _credal_max(box, [ONE if label in hit else ZERO for label in _elements(box)])
+    objective = [ONE if label in hit else ZERO for label in _elements(box)]
+    region = _box_region(box)
+    return simplex_max(region.num_vars, region.constraints, objective, region=region)
 
 
 def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
@@ -316,28 +308,28 @@ def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
 # ------------------------------------------------------------ whole-model checks
 
 
-def check_coherence(box: PBox) -> bool:
+def check_coherence(box: PBox, upper: ClassUpper | None = None) -> bool:
     """Does the LP reproduce the box's own cumulative bounds?
 
     For every class ``x`` the optimum over ``[bottom, x]`` must equal the
     upper vector there, and the optimum over ``(x, top]`` must equal one
     minus the lower vector.  A failure would mean the cumulative vectors
-    are not coherent as stated, i.e. a modelling tripwire.
+    are not coherent as stated, i.e. a modelling tripwire.  ``upper``
+    defaults to the LP oracle, as in :func:`exhaustive_max_preserving`.
     """
+    if upper is None:
+        upper = credal_upper_classes
     m = box.m
     for i in range(m):
-        if credal_upper_classes(box, range(i + 1)) != box.upper_cdf[i]:
+        if upper(box, tuple(range(i + 1))) != box.upper_cdf[i]:
             return False
-        if credal_upper_classes(box, range(i + 1, m)) != ONE - box.lower_cdf[i]:
+        if upper(box, tuple(range(i + 1, m))) != ONE - box.lower_cdf[i]:
             return False
     return True
 
 
 def exhaustive_max_preserving(
-    box: PBox,
-    upper: Callable[[PBox, tuple[int, ...]], Fraction] | None = None,
-    *,
-    max_classes: int = 10,
+    box: PBox, upper: ClassUpper | None = None, *, max_classes: int = 10
 ) -> bool:
     """Semantic maxitivity check: ``upper(A or B) == max(upper(A), upper(B))``.
 
@@ -380,8 +372,6 @@ def credal_intersection_equal(
     n = len(elements)
     if n > max_elements:
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")
-    box_rows = _element_rows(box)
-
     poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
     objectives: list[list[Fraction]] = []
     for mask in range(1, 1 << n):
@@ -393,9 +383,10 @@ def credal_intersection_equal(
             if bound != ONE:
                 poss_rows.append((indicator, "<=", bound))
 
-    # All of one region's objectives before the other's: phase 1 runs once each.
-    optima = [simplex_max(n, box_rows, objective) for objective in objectives]
+    box_region = _box_region(box)
+    poss_region = Region(n, poss_rows)
     return all(
-        simplex_max(n, poss_rows, objective) == optimum
-        for objective, optimum in zip(objectives, optima)
+        simplex_max(n, box_region.constraints, objective, region=box_region)
+        == simplex_max(n, poss_region.constraints, objective, region=poss_region)
+        for objective in objectives
     )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from possbox.chain import SENTINEL, Chain, IntervalUnion, Label
-from possbox.rationals import ONE, ZERO, exact
+from possbox.rationals import ONE, ZERO, exact, shown
 
 
 class PBox:
@@ -55,13 +55,13 @@ class PBox:
         for name, vec in (("lower", lo), ("upper", up)):
             for i, v in enumerate(vec):
                 if not (ZERO <= v <= ONE):
-                    raise ValueError(f"{name}[{i}] = {v} outside [0, 1]")
+                    raise ValueError(f"{name}[{i}] = {shown(v)} outside [0, 1]")
             for i in range(1, m):
                 if vec[i] < vec[i - 1]:
                     raise ValueError(f"{name} cumulative vector must be non-decreasing")
         for i in range(m):
             if lo[i] > up[i]:
-                raise ValueError(f"lower[{i}] = {lo[i]} exceeds upper[{i}] = {up[i]}")
+                raise ValueError(f"lower[{i}] = {shown(lo[i])} exceeds upper[{i}] = {shown(up[i])}")
         if lo[m - 1] != ONE or up[m - 1] != ONE:
             raise ValueError("both cumulative vectors must equal 1 at the top class")
         self.chain = chain

@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Mapping
 from possbox.chain import Chain, Label
 from possbox.maxitive import is_maxitive, zero_one_profile
 from possbox.pbox import PBox
-from possbox.rationals import ONE, ZERO, exact
+from possbox.rationals import ONE, ZERO, exact, shown
 
 
 class PossibilityDistribution:
@@ -46,7 +46,7 @@ class PossibilityDistribution:
         for label, raw in values.items():
             q = exact(raw)
             if not (ZERO <= q <= ONE):
-                raise ValueError(f"value {q} for {label!r} outside [0, 1]")
+                raise ValueError(f"value {shown(q)} for {label!r} outside [0, 1]")
             converted[label] = q
             if q > top:
                 top = q

@@ -15,6 +15,17 @@ from fractions import Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: Most characters, and largest decimal exponent in magnitude, of a string ``exact``
+#: reads: ``"1e-99999999"`` would make Python build ``10 ** 99999999``, and past the
+#: bound a positive exponent puts any nonzero value above 1, outside every probability.
+MAX_DIGITS = 1000
+
+
+def shown(value: object) -> str:
+    """``str(value)`` for an error line, cut to 40 characters."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
 
 def exact(value: object) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
@@ -31,8 +42,12 @@ def exact(value: object) -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("e" in value or "E" in value or len(value) > MAX_DIGITS):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(value) > MAX_DIGITS or exponent.isdecimal() and int(exponent) > MAX_DIGITS:
+            raise ValueError(f"refusing {shown(repr(value))}: length or exponent over {MAX_DIGITS}")
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {value!r}") from exc
+        raise ValueError(f"not an exact rational: {shown(repr(value))}") from exc
 

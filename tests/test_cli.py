@@ -45,6 +45,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv, timeout=60, **env):
+    """``python -m possbox.cli`` in a fresh process, with a time limit."""
+    source = str(Path(possbox.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "possbox.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
 def test_upper_json_exact_bytes(write_doc, capsys):
     path = write_doc(P1_DOC)
     code, out, err = run(capsys, "upper", "--input", path, "--event", "a,c", "--json")
@@ -285,15 +299,51 @@ def test_missing_subcommand_is_usage_error(capsys):
 )
 def test_error_line_names_the_first_offender_under_any_hash_seed(write_doc, doc, argv, line):
     path = write_doc(doc)
-    source = str(Path(possbox.__file__).resolve().parents[1])
     for seed in ("0", "1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "possbox.cli", *argv, "--input", path],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = run_process([*argv, "--input", path], PYTHONHASHSEED=seed)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n"), seed
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"\xff\xfe", "error: unreadable document: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "error: unreadable document: maximum recursion depth"),
+        (b'{"pi": {"a": ' + b"1" * 5000 + b"}}", "error: unreadable document: Exceeds the limit"),
+    ],
+    ids=["not-utf8", "nested", "long-integer"],
+)
+def test_unreadable_documents_exit_2(capsys, monkeypatch, tmp_path, source, raw, line):
+    argv = ["validate"]
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        argv += ["--input", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(line)
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"pi": {"a": "1e-99999999", "b": "1"}}, "length or exponent over 1000"),
+        (
+            {"classes": [["a"], ["b"]], "lower": ["1e400", "1"], "upper": ["1", "1"]},
+            "(401 characters) outside [0, 1]",
+        ),
+        (
+            {"classes": [["a"], ["b"]], "lower": ["1e5000", "1"], "upper": ["1", "1"]},
+            "length or exponent over 1000",
+        ),
+    ],
+    ids=["tiny-pi", "lower-1e400", "lower-1e5000"],
+)
+def test_giant_decimals_exit_2_fast_with_a_short_line(write_doc, doc, reason):
+    done = run_process(["validate", "--input", write_doc(doc)], timeout=10)
+    assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
+    assert done.stderr.startswith("error: bad ") and len(done.stderr) <= 160
+    assert reason in done.stderr

@@ -49,20 +49,20 @@ def test_simplex_redundant_equalities():
 
 
 def test_phase_one_drops_a_redundant_equality_row():
-    start = oracle._solve_phase_one(2, (((1, 1), "==", 1), ((2, 2), "==", 2)))
-    assert len(start.rows) == len(start.basis) == 1
-    assert start.width == 2
+    region = oracle.Region(2, [((1, 1), "==", 1), ((2, 2), "==", 2)])
+    assert len(region.tableau) == len(region.basis) == 1
+    assert region.width == 2
 
 
 def test_phase_one_cleanup_pivots_on_a_negative_entry():
     # -x0 == 0 leaves its artificial basic at level zero after phase 1; the
     # clean-up pivot on the -1 negates the tableau to keep d positive.
     rows = [([-1, 0], "==", 0), ([1, 1], "<=", 1)]
-    start = oracle._solve_phase_one(2, tuple((tuple(c), s, r) for c, s, r in rows))
-    assert 0 in start.basis and start.d > 0
-    assert simplex_max(2, rows, [1, 1]) == 1
-    assert simplex_max(2, rows, [1, 0]) == 0
-    assert simplex_max(2, rows, [Fraction(-1, 2), 3]) == 3
+    region = oracle.Region(2, rows)
+    assert 0 in region.basis and region.d > 0
+    for objective, optimum in (([1, 1], 1), ([1, 0], 0), ([Fraction(-1, 2), 3], 3)):
+        assert simplex_max(2, rows, objective) == optimum
+        assert simplex_max(2, rows, objective, region=region) == optimum
 
 
 def test_simplex_fractional_negative_and_string_coefficients():
@@ -74,49 +74,79 @@ def test_simplex_fractional_negative_and_string_coefficients():
 
 
 @pytest.fixture
-def phase_one_calls(monkeypatch):
-    """Keys of the phase-1 solves made from now on, nothing remembered."""
-    monkeypatch.setattr(oracle, "_remembered", None)
-    calls = []
-    solve = oracle._solve_phase_one
+def regions_built(monkeypatch):
+    """Regions built from now on (one phase-1 solve each), box cache cleared."""
+    built = []
 
-    def counting(*key):
-        calls.append(key)
-        return solve(*key)
+    class Counting(oracle.Region):
+        def __init__(self, num_vars, constraints):
+            super().__init__(num_vars, constraints)
+            built.append(self)
 
-    monkeypatch.setattr(oracle, "_solve_phase_one", counting)
-    return calls
+    oracle._box_region.cache_clear()
+    monkeypatch.setattr(oracle, "Region", Counting)
+    yield built
+    oracle._box_region.cache_clear()
 
 
-def test_phase_one_runs_once_per_region(p1, phase_one_calls):
+def test_phase_one_runs_once_per_region(p1, regions_built):
     for k in range(4):
         for subset in combinations(range(3), k):
             oracle.credal_upper_classes(p1, subset)
-    rows = oracle._element_rows(p1)
-    assert phase_one_calls == [(3, tuple((tuple(c), s, r) for c, s, r in rows))]
+    assert check_coherence(p1) and exhaustive_max_preserving(p1)
+    assert credal_upper(p1, {"a", "c"}) == 1 and credal_lower(p1, {"c"}) == Fraction(1, 5)
+    assert len(regions_built) == 1 and regions_built[0] is oracle._box_region(p1)
 
 
-def test_intersection_check_runs_phase_one_once_per_region(p2, phase_one_calls):
+def test_intersection_check_runs_phase_one_once_per_region(p2, regions_built):
     assert credal_intersection_equal(p2, *conjunction_decompose(p2))
-    assert len(phase_one_calls) == 2
+    assert len(regions_built) == 2
 
 
-def test_memo_keeps_alternating_regions_apart(p1, p2, q):
-    regions = [oracle._element_rows(box) for box in (p1, p2, q)]
+def test_regions_answer_in_any_order(p1, p2, q):
+    boxes = (p1, p2, q)
+    rows = [oracle._box_region(box).constraints for box in boxes]
+    regions = [oracle.Region(3, constraints) for constraints in rows]
     objectives = [[1, 0, 0], [0, 1, 1], ["1/2", 0, "-1/3"], [0, 0, 1]]
-    fresh = {}
-    for r, rows in enumerate(regions):
-        for o, objective in enumerate(objectives):
-            oracle._remembered = None
-            fresh[r, o] = simplex_max(3, rows, objective)
+    fresh = {
+        (r, o): simplex_max(3, rows[r], objective)
+        for r in range(len(boxes))
+        for o, objective in enumerate(objectives)
+    }
     pairs = list(fresh)
     orders = [pairs, pairs[::-1], sorted(pairs, key=lambda ro: (ro[1], ro[0]))]
     rng = random.Random(7)
     orders += [rng.sample(pairs, len(pairs)) for _ in range(5)]
     for order in orders:
-        oracle._remembered = None
         for r, o in order:
-            assert simplex_max(3, regions[r], objectives[o]) == fresh[r, o]
+            region = regions[r]
+            assert simplex_max(3, region.constraints, objectives[o], region=region) == fresh[r, o]
+        # The box cache holds one region; switching boxes costs speed, not answers.
+        for r, o in order:
+            box, subset = boxes[r], tuple(i for i in range(3) if objectives[o][i] == 1)
+            assert oracle.credal_upper_classes(box, subset) == box.upper_of_classes(subset)
+
+
+def test_a_float_equal_to_a_solved_rational_is_refused():
+    assert simplex_max(1, [([1], "<=", Fraction(1, 2))], [1]) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        simplex_max(1, [([1.0], "<=", 0.5)], [1])
+
+
+def test_a_region_answers_only_for_its_own_rows():
+    rows = [([1], "<=", Fraction(1, 2))]
+    region = oracle.Region(1, rows)
+    assert simplex_max(1, rows, [1], region=region) == Fraction(1, 2)
+    # Equal rows that are other objects are refused too: the region read only its own.
+    for num_vars, other in ((2, rows), (1, rows * 2), (1, [([1], "<=", Fraction(1, 2))])):
+        with pytest.raises(ValueError):
+            simplex_max(num_vars, other, [1], region=region)
+    with pytest.raises(ValueError):
+        simplex_max(1, [([1.0], "<=", 0.5)], [1], region=region)
+    empty = oracle.Region(1, [([1], "<=", Fraction(1, 3)), ([1], ">=", Fraction(1, 2))])
+    assert empty.tableau is None
+    with pytest.raises(Infeasible):
+        simplex_max(1, empty.constraints, [1], region=empty)
 
 
 def test_infeasible_region_still_raises_after_a_feasible_one():
@@ -170,7 +200,7 @@ def test_credal_matches_formula_on_fixtures(p1, p2, q, r, precise):
 
 def test_adding_constraints_never_raises_optimum(p2):
     # Shrinking the feasible set can only lower a maximum.
-    rows = oracle._element_rows(p2)
+    rows = list(oracle._box_region(p2).constraints)
     base = simplex_max(3, rows, [0, 1, 0])
     capped = simplex_max(3, rows + [([0, 1, 0], "<=", Fraction(1, 10))], [0, 1, 0])
     assert capped <= base

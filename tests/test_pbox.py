@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from possbox import Chain, PBox
+from possbox.rationals import MAX_DIGITS, exact
 
 
 def test_constructor_rejects_bad_vectors(chain3):
@@ -22,6 +23,22 @@ def test_constructor_rejects_bad_vectors(chain3):
 def test_constructor_rejects_floats(chain3):
     with pytest.raises(ValueError):
         PBox(chain3, [0.0, 0.0, 1.0], ["1/2", "4/5", "1"])
+
+
+def test_exact_bounds_decimal_strings():
+    assert exact(f"1e-{MAX_DIGITS}") == Fraction(1, 10**MAX_DIGITS)
+    assert exact("0." + "0" * (MAX_DIGITS - 3) + "1") == Fraction(1, 10 ** (MAX_DIGITS - 2))
+    for text in (f"1e-{MAX_DIGITS + 1}", f"1E+0{MAX_DIGITS + 1}", "1" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError, match=f"length or exponent over {MAX_DIGITS}"):
+            exact(text)
+
+
+def test_error_lines_cut_long_values(chain3):
+    with pytest.raises(ValueError) as raised:
+        PBox(chain3, ["0", "0", "1"], ["1/2", "1e400", "1"])
+    assert str(raised.value) == (
+        "upper[1] = 1" + "0" * 39 + "... (401 characters) outside [0, 1]"
+    )
 
 
 def test_cumulative_accessors(p1):
@@ -71,6 +88,12 @@ def test_interval_upper_forms(p2):
         p2.interval_upper("a", "c", closed_left=True, closed_right=False)
         == Fraction(4, 5)
     )
+
+
+def test_interval_upper_needs_x_strictly_below_y(p2):
+    for x, y in (("b", "b"), ("c", "a")):
+        with pytest.raises(ValueError, match="strictly below"):
+            p2.interval_upper(x, y)
 
 
 def test_open_interval_between_adjacent_points_is_empty(p2):

@@ -66,6 +66,12 @@ def test_suite_report_summary():
     assert "FAILED" in failing.summary()
 
 
+def test_a_suite_that_checked_nothing_is_not_ok():
+    for empty in (SuiteReport("x"), SuiteReport("x", cases=3)):
+        assert not empty.ok
+        assert empty.summary().startswith("suite x: FAILED")
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
