@@ -1,10 +1,11 @@
 """Joint possibility distributions from marginal ones.
 
-Every joint here is a function of the score z(x) = max_i pi_i(x_i): the
-dependence-free joint z, the independence joint z^n, and an outer bound
-for random-set independence.  Rectangle rules (minimum / product) say what
-each joint must dominate; the least-conservative check confirms the first
-two are as tight as possible for their rule.
+The dependence-free joint z and the independence joint z^n are functions
+of the score z(x) = max_i pi_i(x_i); the outer bound for random-set
+independence, 1 - (1 - w)^n, is a function of w(x) = min_i pi_i(x_i).
+Rectangle rules (minimum / product) say what each joint must dominate; the
+least-conservative check confirms the first two are as tight as possible
+for their rule.
 """
 
 from possbox import (

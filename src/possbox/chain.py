@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from possbox.rationals import shown
+
 Label = str
 
 #: Index of the virtual position below the bottom class.
@@ -50,7 +52,7 @@ class Chain:
                 raise ValueError(f"class {i} is empty")
             for label in cls:
                 if index.setdefault(label, i) != i:
-                    raise ValueError(f"label {label!r} appears in more than one class")
+                    raise ValueError(f"label {shown(repr(label))} appears in more than one class")
         self.classes = tuple(frozenset(cls) for cls in listed)
         self._index = index
 
@@ -69,7 +71,7 @@ class Chain:
         try:
             return self._index[label]
         except KeyError:
-            raise ValueError(f"unknown label {label!r}") from None
+            raise ValueError(f"unknown label {shown(repr(label))}") from None
 
     def compare(self, x: Label, y: Label) -> int:
         """Trichotomous order query.
@@ -90,7 +92,7 @@ class Chain:
         listed = list(labels)
         for label in listed:
             if label not in self._index:
-                raise ValueError(f"unknown label {label!r}")
+                raise ValueError(f"unknown label {shown(repr(label))}")
         return frozenset(listed)
 
     def complement(self, labels: Iterable[Label]) -> frozenset[Label]:

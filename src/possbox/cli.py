@@ -29,6 +29,7 @@ from possbox.possibility import (
     pbox_to_possibility,
     possibility_to_pbox,
 )
+from possbox.rationals import shown
 from possbox.verify import SUITES, pbox_document, run_suite
 
 
@@ -247,7 +248,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
         for label in domain:
             if "|" in label:
                 raise CliError(
-                    f"marginal {k} label {label!r} contains '|', the separator of point keys"
+                    f"marginal {k} label {shown(repr(label))} contains '|', the separator of point keys"
                 )
     joint = JOINTS[args.rule](family)
     ordered = {"|".join(point): str(joint[point]) for point in family.points()}

@@ -1,12 +1,13 @@
 """Joint possibility distributions built from marginal ones.
 
 Given marginals on finite spaces, the product point ``x = (x_1, .., x_n)``
-gets the score ``z(x) = max_i pi_i(x_i)``; all joints here are functions of
-that score.  Three constructions are provided: the Fréchet joint ``z`` (no
-dependence assumption), the independent-style joint ``z ** n``, and an outer
-approximation for random-set independence ``1 - max_i (1 - pi_i(x_i)) ** n``.
-Rectangle combination rules and a least-conservative check relate the first
-two joints to the bounds they are meant to dominate.
+has the coordinate values ``pi_i(x_i)``, with largest ``z(x) = max_i pi_i(x_i)``
+(the score) and smallest ``w(x) = min_i pi_i(x_i)``.  Three constructions are
+provided: the Fréchet joint ``z`` (no dependence assumption), the
+independent-style joint ``z ** n``, and an outer approximation for random-set
+independence ``1 - (1 - w) ** n``.  Rectangle combination rules and a
+least-conservative check relate the first two joints to the bounds they are
+meant to dominate.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from possbox.possibility import PossibilityDistribution
 from possbox.rationals import ONE
 
 #: Rectangle combination rules: name -> function of per-marginal measures.
-RULES = ("frechet", "independent")
+RULES = {"frechet": min, "independent": prod}
 
 
-def _rule_combine(rule: str, values: Sequence[Fraction]) -> Fraction:
-    if rule == "frechet":
-        return min(values)
-    if rule == "independent":
-        out = ONE
-        for v in values:
-            out *= v
-        return out
-    raise ValueError(f"unknown combination rule {rule!r} (expected one of {RULES})")
+def _check_rule(rule: str) -> None:
+    if rule not in RULES:
+        raise ValueError(f"unknown combination rule {rule!r} (expected one of {tuple(RULES)})")
 
 
 class MarginalFamily:
@@ -138,8 +133,8 @@ def combine_rectangle(
     rect = list(rectangle)
     if len(rect) != family.n:
         raise ValueError(f"rectangle has {len(rect)} components, family has {family.n}")
-    values = [m.measure(component) for m, component in zip(family.marginals, rect)]
-    return _rule_combine(rule, values)
+    _check_rule(rule)
+    return RULES[rule](m.measure(component) for m, component in zip(family.marginals, rect))
 
 
 def rectangle_values(family: MarginalFamily) -> dict[tuple[Fraction, ...], int]:
@@ -179,30 +174,28 @@ def least_conservative_check(
 ) -> bool:
     """Is ``joint`` the least conservative cumulative bound for ``rule``?
 
-    Two conditions are verified exhaustively:
+    Checks the *canonical form per score level*: at every product point the
+    joint must equal the rule applied to the point's score ``z`` in each
+    argument (``z`` for the minimum rule, ``z ** n`` for the product rule).
+    Any smaller value at an occupied level is ruled out because a rectangle
+    whose component measures all reach ``z`` would then exceed the joint's
+    cumulative value at that level; any larger value is not least
+    conservative.  Every point of ``joint`` is read.
 
-    * *Canonical form per score level.*  At every product point the joint
-      must equal the rule applied to the point's score ``z`` in each
-      argument (``z`` for the minimum rule, ``z ** n`` for the product
-      rule).  Any smaller value at an occupied level is ruled out because a
-      rectangle whose component measures all reach ``z`` would then exceed
-      the joint's cumulative value at that level; any larger value is not
-      least conservative.
-    * *Rectangle dominance.*  For every rectangle of marginal events the
-      joint's possibility measure must reach the rule's combined bound.
-      Once the first condition holds, the joint is a monotone function of
-      the score, so its measure of a rectangle is that function at the
-      rectangle's best score -- which is the componentwise maximum of the
-      per-marginal measures.  Both sides thus read a rectangle only through
-      its vector of component measures, so looping over the vectors of
-      :func:`rectangle_values` checks every rectangle's inequality.
+    *Rectangle dominance* (the joint's measure of every rectangle of
+    marginal events reaches the rule's combined bound) then holds without a
+    further check.  The canonical joint is a monotone function of the
+    score, so its measure of a rectangle with component measures ``v`` is
+    that function at the rectangle's best score ``max v``: ``max v`` or
+    ``(max v) ** n``.  Every ``v_i`` lies in ``[0, 1]``, so
+    ``max v >= min v`` and ``(max v) ** n >= prod v``.
 
-    Returns ``False`` as soon as either condition fails (for instance when
-    checking one rule's joint against the other rule).  Raises for an
-    unknown rule or a joint living on a different product space.
+    Returns ``False`` at the first point off the canonical form (for
+    instance when checking one rule's joint against the other rule).
+    Raises for an unknown rule or a joint living on a different product
+    space.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown combination rule {rule!r} (expected one of {RULES})")
+    _check_rule(rule)
     n = family.n
     points = list(family.points())
     if set(points) != set(joint.labels):
@@ -212,11 +205,5 @@ def least_conservative_check(
         z = family.z_value(point)
         canonical = z if rule == "frechet" else z**n
         if joint[point] != canonical:
-            return False
-
-    for values in rectangle_values(family):
-        best_score = max(values)
-        joint_measure = best_score if rule == "frechet" else best_score**n
-        if joint_measure < _rule_combine(rule, values):
             return False
     return True

@@ -143,7 +143,7 @@ def simplex_max(
         region = Region(num_vars, constraints)
     elif num_vars != region.num_vars or [*map(id, constraints)] != [*map(id, region.constraints)]:
         raise ValueError("constraints are not the rows the region was built from")
-    costs = [c if isinstance(c, (int, Fraction)) else exact(c) for c in objective]
+    costs = [c if isinstance(c, Fraction) else exact(c) for c in objective]
     if len(costs) > num_vars:
         raise ValueError("objective width exceeds the variable count")
     if region.tableau is None:

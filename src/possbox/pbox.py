@@ -180,7 +180,7 @@ class PBox:
         """
         ix, iy = self.chain.index_of(x), self.chain.index_of(y)
         if ix >= iy:
-            raise ValueError(f"{x!r} must lie strictly below {y!r}")
+            raise ValueError(f"{shown(repr(x))} must lie strictly below {shown(repr(y))}")
         left = ix - 1 if closed_left else ix
         right = iy if closed_right else iy - 1
         if left >= right:

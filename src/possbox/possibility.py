@@ -46,7 +46,7 @@ class PossibilityDistribution:
         for label, raw in values.items():
             q = exact(raw)
             if not (ZERO <= q <= ONE):
-                raise ValueError(f"value {shown(q)} for {label!r} outside [0, 1]")
+                raise ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
             converted[label] = q
             if q > top:
                 top = q
@@ -58,7 +58,7 @@ class PossibilityDistribution:
         try:
             return self._values[label]
         except KeyError:
-            raise ValueError(f"unknown label {label!r}") from None
+            raise ValueError(f"unknown label {shown(repr(label))}") from None
 
     def __iter__(self):
         return iter(self._values)

@@ -347,3 +347,25 @@ def test_giant_decimals_exit_2_fast_with_a_short_line(write_doc, doc, reason):
     assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
     assert done.stderr.startswith("error: bad ") and len(done.stderr) <= 160
     assert reason in done.stderr
+
+
+LONG_LABEL = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (
+            {"classes": [[LONG_LABEL], [LONG_LABEL]], "lower": ["0", "1"], "upper": ["1", "1"]},
+            ["validate"],
+        ),
+        (P1_DOC, ["upper", "--event", LONG_LABEL]),
+        ({"pi": {LONG_LABEL: "2", "b": "1"}}, ["validate"]),
+        ({"marginals": [{"|" + LONG_LABEL[1:]: "1"}]}, ["joint", "--rule", "frechet"]),
+    ],
+    ids=["duplicate-label", "unknown-label", "value-outside", "separator-label"],
+)
+def test_error_lines_cut_long_labels(write_doc, capsys, doc, argv):
+    code, out, err = run(capsys, *argv, "--input", write_doc(doc))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert len(err.encode()) < 200 and "(100002 characters)" in err

@@ -70,9 +70,17 @@ def test_combine_rectangle_frozen(family_2x2):
     assert combine_rectangle(family_2x2, (set(), {"s"}), "frechet") == 0
 
 
+UNKNOWN_RULE = r"unknown combination rule 'comonotone' \(expected one of \('frechet', 'independent'\)\)"
+
+
 def test_combine_rectangle_rejects_unknown_rule(family_2x2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=UNKNOWN_RULE):
         combine_rectangle(family_2x2, ({"u"}, {"s"}), "comonotone")
+
+
+def test_least_conservative_check_rejects_unknown_rule(family_2x2):
+    with pytest.raises(ValueError, match=UNKNOWN_RULE):
+        least_conservative_check(family_2x2, joint_frechet(family_2x2), "comonotone")
 
 
 def test_least_conservative_check(family_2x2):
@@ -84,6 +92,21 @@ def test_least_conservative_check(family_2x2):
     # rule, but it is not the least conservative one doing so.
     assert not least_conservative_check(family_2x2, frechet, "independent")
     assert not least_conservative_check(family_2x2, independent, "frechet")
+
+
+def test_both_joints_pass_both_rules_on_zero_one_marginals():
+    # With every value 0 or 1 the score z equals z ** n, so the two joints
+    # coincide and each is canonical for either rule.
+    family = MarginalFamily(
+        [
+            PossibilityDistribution({"u": "0", "v": "1"}),
+            PossibilityDistribution({"s": "1", "t": "0", "r": "1"}),
+            PossibilityDistribution({"w": "1"}),
+        ]
+    )
+    for joint in (joint_frechet(family), joint_independent(family)):
+        for rule in ("frechet", "independent"):
+            assert least_conservative_check(family, joint, rule)
 
 
 def test_least_conservative_check_rejects_mismatched_space(family_2x2):

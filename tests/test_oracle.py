@@ -178,6 +178,13 @@ def test_simplex_rejects_binary_floats():
             simplex_max(1, constraints, objective)
 
 
+def test_simplex_rejects_boolean_costs():
+    # A JSON true is not the number 1, in a row or in the objective.
+    for constraints, objective in (([([True], "<=", 1)], [1]), ([([1], "<=", 1)], [True])):
+        with pytest.raises(ValueError, match="refusing bool"):
+            simplex_max(1, constraints, objective)
+
+
 def test_credal_frozen_values(p1):
     assert credal_upper(p1, {"a"}) == Fraction(1, 2)
     assert credal_upper(p1, {"b"}) == Fraction(4, 5)

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from possbox import verify
+from possbox import PossibilityDistribution, multivariate, verify
 from possbox.cli import main
+from possbox.multivariate import joint_independent, rectangle_values
 from possbox.verify import (
     SUITES,
     SuiteReport,
@@ -145,3 +147,64 @@ def test_a_wrong_answer_fails_with_a_replayable_counterexample(
     event = ",".join(counterexample["event"])
     assert main(["upper", "--input", str(path), "--event", event, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"upper": counterexample[reported]}
+
+
+def test_the_multivariate_suite_builds_each_rectangle_table_once(monkeypatch):
+    built = []
+
+    def counted(family):
+        built.append(family)
+        return rectangle_values(family)
+
+    monkeypatch.setattr(multivariate, "rectangle_values", counted)
+    monkeypatch.setattr(verify, "rectangle_values", counted)
+    report = suite_multivariate(max_size=2, grid_den=2)
+    assert report.ok
+    assert len(built) == report.cases == len({id(family) for family in built})
+
+
+def run_multivariate(capsys):
+    argv = ["verify", "--suite", "multivariate", "--max-classes", "2", "--grid", "2", "--json"]
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["ok"]) == (1, False)
+    return payload["counterexample"]
+
+
+def test_a_wrong_frechet_joint_fails_with_a_replayable_counterexample(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(verify, "joint_frechet", joint_independent)
+    counterexample = run_multivariate(capsys)
+    assert counterexample["detail"] == "Fréchet joint fails its least-conservative check"
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({"marginals": counterexample["marginals"]}), encoding="utf-8")
+    replayed = {}
+    for rule in ("frechet", "independent"):
+        assert main(["joint", "--input", str(path), "--rule", rule, "--json"]) == 0
+        replayed[rule] = json.loads(capsys.readouterr().out)["pi"]
+    # The family tells the two joints apart, so it witnesses the swap.
+    assert replayed["frechet"] != replayed["independent"]
+
+
+def test_a_failed_rectangle_dominance_names_one_label_per_marginal(monkeypatch, capsys):
+    half = Fraction(1, 2)
+    canonical = verify._canonical_marginals
+
+    def labelled_downwards(*args):
+        # The suite's pool with values falling along the labels, so that a
+        # marginal's first label is not the one holding its smallest value.
+        return [
+            PossibilityDistribution({f"e{len(m) - 1 - j}": m[f"e{j}"] for j in range(len(m))})
+            for m in canonical(*args)
+        ]
+
+    monkeypatch.setattr(verify, "_canonical_marginals", labelled_downwards)
+    # A product one too high on every vector holding 1/2 breaks dominance there.
+    monkeypatch.setattr(verify, "prod", lambda values: prod(values) + (1 if half in values else 0))
+    counterexample = run_multivariate(capsys)
+    assert counterexample["detail"] == "random-set outer bound fails rectangle dominance"
+    marginals, rectangle = counterexample["marginals"], counterexample["rectangle"]
+    assert len(rectangle) == len(marginals) >= 2
+    assert all(len(component) == 1 and component[0] in m for component, m in zip(rectangle, marginals))
+    values = [Fraction(m[label]) for (label,), m in zip(rectangle, marginals)]
+    assert half in values
