@@ -40,7 +40,7 @@ class Chain:
     0
     """
 
-    __slots__ = ("classes", "_index")
+    __slots__ = ("classes", "_index", "_by_class")
 
     def __init__(self, classes: Iterable[Iterable[Label]]):
         listed = [list(cls) for cls in classes]
@@ -55,6 +55,7 @@ class Chain:
                     raise ValueError(f"label {shown(repr(label))} appears in more than one class")
         self.classes = tuple(frozenset(cls) for cls in listed)
         self._index = index
+        self._by_class: tuple[tuple[int, Label], ...] | None = None
 
     # ------------------------------------------------------------ queries
 
@@ -66,6 +67,21 @@ class Chain:
     @property
     def labels(self) -> frozenset[Label]:
         return frozenset(self._index)
+
+    def labels_by_class(self) -> tuple[tuple[int, Label], ...]:
+        """``(class index, label)`` pairs, class by class and sorted within a class.
+
+        The order does not depend on string hashing; it is worked out on the
+        first call and kept.
+
+        >>> Chain([["c", "a"], ["b"]]).labels_by_class()
+        ((0, 'a'), (0, 'c'), (1, 'b'))
+        """
+        if self._by_class is None:
+            self._by_class = tuple(
+                (i, label) for i, cls in enumerate(self.classes) for label in sorted(cls)
+            )
+        return self._by_class
 
     def index_of(self, label: Label) -> int:
         try:

@@ -122,14 +122,6 @@ def _event_from_args(args: argparse.Namespace, chain: Chain) -> frozenset[str]:
     return event
 
 
-def _ordered_pi(pi: PossibilityDistribution, chain: Chain | None = None) -> dict[str, str]:
-    if chain is not None:
-        ordered = [label for cls in chain.classes for label in sorted(cls)]
-    else:
-        ordered = sorted(pi.labels, key=repr)
-    return {label: str(pi[label]) for label in ordered}
-
-
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
@@ -189,7 +181,7 @@ def _cmd_to_possibility(args: argparse.Namespace) -> int:
     if pi is None:
         _emit(args, {"pi": None}, "not a possibility measure")
         return 0
-    ordered = _ordered_pi(pi, box.chain)
+    ordered = {label: str(value) for label, value in pi.items()}
     text = "pi: " + ", ".join(f"{label}={value}" for label, value in ordered.items())
     _emit(args, {"pi": ordered}, text)
     return 0
@@ -212,8 +204,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     box = _document_pbox(_load_document(args))
     pi_lower, pi_upper = conjunction_decompose(box)
     payload = {
-        "pi1": _ordered_pi(pi_lower, box.chain),
-        "pi2": _ordered_pi(pi_upper, box.chain),
+        "pi1": {label: str(value) for label, value in pi_lower.items()},
+        "pi2": {label: str(value) for label, value in pi_upper.items()},
     }
     text = "\n".join(
         name + ": " + ", ".join(f"{label}={value}" for label, value in part.items())

@@ -8,11 +8,18 @@ independent-style joint ``z ** n``, and an outer approximation for random-set
 independence ``1 - (1 - w) ** n``.  Rectangle combination rules and a
 least-conservative check relate the first two joints to the bounds they are
 meant to dominate.
+
+Every joint value, and every rectangle's combined bound, depends on a point
+or a rectangle only through its vector of marginal values.  A
+:class:`MarginalFamily` groups each marginal's labels by value once, and
+:meth:`MarginalFamily.vectors` lists each such vector with the product
+points that have it; the joints, :func:`least_conservative_check`,
+:func:`rectangle_values` and the ``multivariate`` verification suite all
+read that one grouping.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -34,16 +41,20 @@ class MarginalFamily:
     """An ordered family of marginal possibility distributions.
 
     Domains are kept in a deterministic (sorted) order so that product
-    points enumerate identically across runs.
+    points enumerate identically across runs.  Each marginal's labels are
+    also grouped by value once, here: ``levels[i]`` lists marginal ``i``'s
+    distinct values in ascending order, each with its labels in domain
+    order.
     """
 
-    __slots__ = ("marginals", "domains")
+    __slots__ = ("marginals", "domains", "levels")
 
     def __init__(self, marginals: Iterable[PossibilityDistribution]):
         self.marginals = tuple(marginals)
         if not self.marginals:
             raise ValueError("a marginal family needs at least one marginal")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
+        self.levels = tuple(_levels(m, domain) for m, domain in zip(self.marginals, self.domains))
 
     @property
     def n(self) -> int:
@@ -53,20 +64,47 @@ class MarginalFamily:
         """All product points, in deterministic order."""
         return product(*self.domains)
 
-    def coordinate_values(self, point: Sequence[Hashable]) -> tuple[Fraction, ...]:
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, family has {self.n}")
-        return tuple(m[x] for m, x in zip(self.marginals, point))
+    def vectors(self) -> Iterator[tuple[tuple[Fraction, ...], Iterator[tuple]]]:
+        """Each vector of coordinate values, with the product points that have it.
+
+        Vectors come in lexicographic order, each component running over
+        its marginal's distinct values in ascending order; a vector's points
+        come in :meth:`points` order.  Together the points are every product
+        point, each once.  The points are an iterator, read once.
+
+        >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1, "w": "1/2"})
+        >>> pi2 = PossibilityDistribution({"s": 1})
+        >>> for values, points in MarginalFamily([pi1, pi2]).vectors():
+        ...     print([str(v) for v in values], list(points))
+        ['1/2', '1'] [('u', 's'), ('w', 's')]
+        ['1', '1'] [('v', 's')]
+        """
+        for combo in product(*self.levels):
+            yield tuple(v for v, _ in combo), product(*(labels for _, labels in combo))
 
     def z_value(self, point: Sequence[Hashable]) -> Fraction:
         """Score of a product point: the largest marginal value among its coordinates."""
-        return max(self.coordinate_values(point))
+        if len(point) != self.n:
+            raise ValueError(f"point has {len(point)} coordinates, family has {self.n}")
+        return max(m[x] for m, x in zip(self.marginals, point))
+
+
+def _levels(
+    marginal: PossibilityDistribution, domain: Sequence[Hashable]
+) -> tuple[tuple[Fraction, tuple], ...]:
+    """A marginal's distinct values, ascending, each with its labels in domain order."""
+    at: dict[Fraction, list] = {}
+    for label in domain:
+        at.setdefault(marginal[label], []).append(label)
+    return tuple((v, tuple(at[v])) for v in sorted(at))
 
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
-    values = {}
-    for point in family.points():
-        values[point] = score(family.coordinate_values(point))
+    values = dict.fromkeys(family.points())
+    for vector, points in family.vectors():
+        value = score(vector)
+        for point in points:
+            values[point] = value
     return PossibilityDistribution(values)
 
 
@@ -94,7 +132,7 @@ def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
 
 
 def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
-    """Outer bound for random-set independence: ``1 - max_i (1 - pi_i) ** n``.
+    """Outer bound for random-set independence: ``1 - (1 - w) ** n``.
 
     >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
     >>> pi2 = PossibilityDistribution({"s": "3/10", "t": 1})
@@ -102,7 +140,7 @@ def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
     Fraction(51, 100)
     """
     n = family.n
-    return _build_joint(family, lambda vals: ONE - max((ONE - v) ** n for v in vals))
+    return _build_joint(family, lambda vals: ONE - (ONE - min(vals)) ** n)
 
 
 #: Joint constructions by name (the command line's ``joint --rule`` choices).
@@ -145,9 +183,9 @@ def rectangle_values(family: MarginalFamily) -> dict[tuple[Fraction, ...], int]:
     event's measure is the largest value over it, so it is one of the
     marginal's distinct values: a value with ``k`` labels below it and
     ``j`` labels at it is the measure of ``2**k * (2**j - 1)`` events.
-    Maps each product of distinct values (increasing in each component) to
-    the number of rectangles with that vector; the counts sum to
-    ``prod_i (2**|domain_i| - 1)``.
+    Maps each product of distinct values to the number of rectangles with
+    that vector, with the keys in :meth:`MarginalFamily.vectors` order; the
+    counts sum to ``prod_i (2**|domain_i| - 1)``.
 
     >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
     >>> pi2 = PossibilityDistribution({"s": 1, "t": 1})
@@ -155,13 +193,12 @@ def rectangle_values(family: MarginalFamily) -> dict[tuple[Fraction, ...], int]:
     {(Fraction(1, 2), Fraction(1, 1)): 3, (Fraction(1, 1), Fraction(1, 1)): 6}
     """
     per_marginal = []
-    for marginal in family.marginals:
-        at = Counter(v for _, v in marginal.items())
+    for levels in family.levels:
         below = 0
         events = []
-        for v in sorted(at):
-            events.append((v, (1 << below) * ((1 << at[v]) - 1)))
-            below += at[v]
+        for v, labels in levels:
+            events.append((v, (1 << below) * ((1 << len(labels)) - 1)))
+            below += len(labels)
         per_marginal.append(events)
     return {
         tuple(v for v, _ in combo): prod(count for _, count in combo)
@@ -197,13 +234,13 @@ def least_conservative_check(
     """
     _check_rule(rule)
     n = family.n
-    points = list(family.points())
-    if set(points) != set(joint.labels):
+    if set(family.points()) != joint.labels:
         raise ValueError("joint does not live on this family's product space")
 
-    for point in points:
-        z = family.z_value(point)
+    for values, points in family.vectors():
+        z = max(values)
         canonical = z if rule == "frechet" else z**n
-        if joint[point] != canonical:
-            return False
+        for point in points:
+            if joint[point] != canonical:
+                return False
     return True

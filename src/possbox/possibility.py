@@ -111,8 +111,7 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
         return None
     chain = box.chain
     class_value = [box.upper_at(i) - box.lower_at(i - 1) for i in range(chain.m)]
-    values = {label: class_value[i] for i, cls in enumerate(chain.classes) for label in cls}
-    return PossibilityDistribution(values)
+    return PossibilityDistribution({label: class_value[i] for i, label in chain.labels_by_class()})
 
 
 def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:
@@ -153,11 +152,7 @@ def zero_one_possibility(box: PBox) -> PossibilityDistribution:
         raise ValueError("both cumulative vectors must be 0-1-valued")
     lo = profile.first_upper_positive
     hi = profile.first_lower_positive
-    values = {
-        label: ONE if lo <= i <= hi else ZERO
-        for i, cls in enumerate(box.chain.classes)
-        for label in cls
-    }
+    values = {label: ONE if lo <= i <= hi else ZERO for i, label in box.chain.labels_by_class()}
     return PossibilityDistribution(values)
 
 
@@ -178,13 +173,9 @@ def conjunction_decompose(box: PBox) -> tuple[PossibilityDistribution, Possibili
     >>> [str(pi_upper[x]) for x in ("a", "b", "c")]
     ['1/2', '4/5', '1']
     """
-    chain = box.chain
-    from_lower = {
-        label: ONE - box.lower_at(i - 1) for i, cls in enumerate(chain.classes) for label in cls
-    }
-    from_upper = {
-        label: box.upper_at(i) for i, cls in enumerate(chain.classes) for label in cls
-    }
+    labels = box.chain.labels_by_class()
+    from_lower = {label: ONE - box.lower_at(i - 1) for i, label in labels}
+    from_upper = {label: box.upper_at(i) for i, label in labels}
     return PossibilityDistribution(from_lower), PossibilityDistribution(from_upper)
 
 

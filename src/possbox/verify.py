@@ -377,14 +377,22 @@ def suite_multivariate(
       for their own rules (:func:`~possbox.multivariate.least_conservative_check`
       compares each joint with ``z`` or ``z ** n`` at every product point),
       counted as one check per call and one per point it compares;
-    * at every product point, the pointwise form ``1 - (1 - w) ** n`` of the
-      random-set outer bound, the ordering of the independent joint below
-      the Fréchet joint, and the regime comparisons between the independent
-      and random-set bounds;
-    * rectangle dominance of the random-set outer bound over independent
-      products.  Rectangles are visited by vector of component measures
-      (see :func:`~possbox.multivariate.rectangle_values`); each vector adds
-      one check per rectangle of non-empty events that has it.
+    * one pass over the family's vectors of coordinate values
+      (:meth:`~possbox.multivariate.MarginalFamily.vectors`), where every
+      expected value is computed once per vector:
+
+      - rectangle dominance of the random-set outer bound over independent
+        products.  A rectangle of non-empty events has a vector of
+        component measures, and these are the same vectors (see
+        :func:`~possbox.multivariate.rectangle_values`); each vector adds
+        one check per rectangle that has it;
+      - at each of the vector's product points, the pointwise form
+        ``1 - (1 - w) ** n`` of the random-set outer bound, the ordering of
+        the independent joint below the Fréchet joint, and the regime
+        comparisons between the independent and random-set bounds.  All
+        three joints are read at every point.
+
+    A family's first failure in vector order is the one reported.
     """
     report = SuiteReport("multivariate")
     pool = _canonical_marginals(max_size, grid_den)
@@ -408,50 +416,45 @@ def suite_multivariate(
                 }
                 return report
 
-            points = list(family.points())
-            report.checks += 2 + 2 * len(points)
+            report.checks += 2 + len(frechet) + len(independent)
             if not least_conservative_check(family, frechet, "frechet"):
                 return fail("Fréchet joint fails its least-conservative check")
             if not least_conservative_check(family, independent, "independent"):
                 return fail("independent joint fails its least-conservative check")
 
-            for point in points:
-                values = family.coordinate_values(point)
+            rectangles = rectangle_values(family)
+            for values, points in family.vectors():
                 z = max(values)
                 w = min(values)
-                report.checks += 2
-                if rsi[point] != ONE - (ONE - w) ** n:
-                    return fail("random-set outer bound has the wrong pointwise form", point=list(point))
-                if independent[point] > frechet[point]:
-                    return fail("independent joint exceeds the Fréchet joint", point=list(point))
-                if any(v == ONE for v in values):
-                    report.checks += 1
-                    if rsi[point] > independent[point]:
+                outer = ONE - (ONE - w) ** n
+                report.checks += rectangles[values]
+                if outer < prod(values):
+                    return fail(
+                        "random-set outer bound fails rectangle dominance",
+                        rectangle=[[label] for label in next(points)],
+                    )
+                at_one = ONE in values
+                # The "below one half" regime is only claimed here for a level
+                # point: with very unequal coordinates (say 1/12 and 5/12) the
+                # product-form bound can lose even though all values are small.
+                below_half = ZERO < w and z < half and w == z
+                per_point = 2 + at_one + below_half
+                for point in points:
+                    report.checks += per_point
+                    if rsi[point] != outer:
+                        return fail("random-set outer bound has the wrong pointwise form", point=list(point))
+                    if independent[point] > frechet[point]:
+                        return fail("independent joint exceeds the Fréchet joint", point=list(point))
+                    if at_one and rsi[point] > independent[point]:
                         return fail(
                             "random-set bound looser than independent at a value-1 point",
                             point=list(point),
                         )
-                # The "below one half" regime is only claimed here for a level
-                # point: with very unequal coordinates (say 1/12 and 5/12) the
-                # product-form bound can lose even though all values are small.
-                if ZERO < w and z < half and w == z:
-                    report.checks += 1
-                    if not independent[point] < rsi[point]:
+                    if below_half and not independent[point] < rsi[point]:
                         return fail(
                             "independent bound not strictly tighter below 1/2",
                             point=list(point),
                         )
-
-            for values, count in rectangle_values(family).items():
-                report.checks += count
-                if ONE - (ONE - min(values)) ** n < prod(values):
-                    return fail(
-                        "random-set outer bound fails rectangle dominance",
-                        rectangle=[
-                            [next(label for label in domain if m[label] == v)]
-                            for m, domain, v in zip(family.marginals, family.domains, values)
-                        ],
-                    )
     return report
 
 

@@ -230,6 +230,31 @@ def test_rectangle_values_match_enumeration_on_the_suite_pool():
         assert rectangle_values(family) == _brute_force_rectangle_values(family)
 
 
+def test_vectors_partition_the_product_points_on_the_suite_pool():
+    pool = _canonical_marginals(3, 4)
+    for chosen in product(pool, repeat=2):
+        family = MarginalFamily(chosen)
+        grouped = [(values, list(points)) for values, points in family.vectors()]
+        seen = [point for _, points in grouped for point in points]
+        assert sorted(seen) == sorted(family.points())
+        assert len(seen) == len(set(seen))
+        for values, points in grouped:
+            assert points
+            for point in points:
+                assert tuple(m[x] for m, x in zip(family.marginals, point)) == values
+
+
+def test_vectors_match_the_rectangle_vectors():
+    family = MarginalFamily(
+        [
+            PossibilityDistribution({"a": "0", "b": "1/2", "c": "1/2", "d": "1"}),
+            PossibilityDistribution({"t": "1", "s": "0", "u": "1"}),
+        ]
+    )
+    assert [values for values, _ in family.vectors()] == list(rectangle_values(family))
+    assert [list(points) for _, points in family.vectors()][2] == [("b", "s"), ("c", "s")]
+
+
 def test_rectangle_values_with_ties_and_zero():
     family = MarginalFamily(
         [

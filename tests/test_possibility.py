@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import possbox
 from possbox import (
     Chain,
     PBox,
@@ -166,3 +171,32 @@ def test_conjunction_upper_gap_on_middle_class(p2):
     assert approx_upper == Fraction(4, 5)
     assert p2.upper({"b"}) == Fraction(3, 5)
     assert approx_lower == 0 == p2.lower({"b"})
+
+
+BUILT_FROM_A_BOX = """
+from possbox import Chain, PBox, conjunction_decompose, pbox_to_possibility, zero_one_possibility
+chain = Chain([["c", "a", "b"], ["e", "d"]])
+box = PBox(chain, ["0", "1"], ["1/2", "1"])
+print(pbox_to_possibility(box))
+print(zero_one_possibility(PBox(chain, ["0", "1"], ["0", "1"])))
+print(*conjunction_decompose(box), sep="\\n")
+"""
+
+
+def test_distributions_built_from_a_box_list_labels_the_same_under_any_hash_seed():
+    source = str(Path(possbox.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", BUILT_FROM_A_BOX], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, ""), seed
+        outputs.add(done.stdout)
+    (printed,) = outputs
+    # Class by class, sorted within a class.
+    assert printed.splitlines() == [
+        f"PossibilityDistribution({{'a': {a}, 'b': {a}, 'c': {a}, 'd': {d}, 'e': {d}}})"
+        for a, d in (("1/2", "1"), ("0", "1"), ("1", "1"), ("1/2", "1"))
+    ]

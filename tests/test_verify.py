@@ -6,7 +6,7 @@ import pytest
 
 from possbox import PossibilityDistribution, multivariate, verify
 from possbox.cli import main
-from possbox.multivariate import joint_independent, rectangle_values
+from possbox.multivariate import joint_frechet, joint_independent, rectangle_values
 from possbox.verify import (
     SUITES,
     SuiteReport,
@@ -149,6 +149,55 @@ def test_a_wrong_answer_fails_with_a_replayable_counterexample(
     assert json.loads(capsys.readouterr().out) == {"upper": counterexample[reported]}
 
 
+def test_a_wrong_possibility_conversion_fails_with_a_replayable_counterexample(
+    monkeypatch, capsys, tmp_path
+):
+    right = verify.pbox_to_possibility
+
+    def flattened(box):
+        pi = right(box)
+        return None if pi is None else PossibilityDistribution(dict.fromkeys(pi, 1))
+
+    monkeypatch.setattr(verify, "pbox_to_possibility", flattened)
+    argv = ["verify", "--suite", "roundtrip", "--max-classes", "2", "--grid", "2", "--json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    counterexample = payload["counterexample"]
+    assert counterexample["computed_pi"] != counterexample["expected_pi"]
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
+    assert main(["to-possibility", "--input", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pi": counterexample["expected_pi"]}
+
+
+def test_a_wrong_conjunction_bound_fails_with_a_replayable_counterexample(monkeypatch, capsys, tmp_path):
+    right = verify.conjunction_bounds
+
+    def lowered(box, event):
+        approx_lo, approx_up = right(box, event)
+        return approx_lo, approx_up - Fraction(1, 128)
+
+    monkeypatch.setattr(verify, "conjunction_bounds", lowered)
+    argv = ["verify", "--suite", "conjunction", "--max-classes", "2", "--grid", "2", "--json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    counterexample = payload["counterexample"]
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
+    event = ",".join(counterexample["event"])
+    assert main(["bounds", "--input", str(path), "--event", event, "--json"]) == 0
+    replayed = json.loads(capsys.readouterr().out)
+    assert [replayed["lower"], replayed["upper"]] == counterexample["exact"]
+    approx_lo, approx_up = counterexample["approx"]
+    assert replayed["approx_lower"] == approx_lo
+    assert Fraction(replayed["approx_upper"]) - Fraction(1, 128) == Fraction(approx_up)
+    assert Fraction(approx_up) < Fraction(replayed["upper"])
+
+
 def test_the_multivariate_suite_builds_each_rectangle_table_once(monkeypatch):
     built = []
 
@@ -184,6 +233,25 @@ def test_a_wrong_frechet_joint_fails_with_a_replayable_counterexample(monkeypatc
         replayed[rule] = json.loads(capsys.readouterr().out)["pi"]
     # The family tells the two joints apart, so it witnesses the swap.
     assert replayed["frechet"] != replayed["independent"]
+
+
+def test_a_wrong_pointwise_form_names_a_product_point_of_the_marginals(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(verify, "joint_rsi_outer", joint_frechet)
+    counterexample = run_multivariate(capsys)
+    assert counterexample["detail"] == "random-set outer bound has the wrong pointwise form"
+    marginals, point = counterexample["marginals"], counterexample["point"]
+    assert len(point) == len(marginals)
+    assert all(label in m for label, m in zip(point, marginals))
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({"marginals": marginals}), encoding="utf-8")
+    replayed = {}
+    for rule in ("frechet", "rsi"):
+        assert main(["joint", "--input", str(path), "--rule", rule, "--json"]) == 0
+        replayed[rule] = json.loads(capsys.readouterr().out)["pi"]["|".join(point)]
+    values = [Fraction(m[label]) for label, m in zip(point, marginals)]
+    assert Fraction(replayed["rsi"]) == 1 - (1 - min(values)) ** len(values)
+    assert replayed["frechet"] != replayed["rsi"]
 
 
 def test_a_failed_rectangle_dominance_names_one_label_per_marginal(monkeypatch, capsys):
