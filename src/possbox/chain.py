@@ -40,7 +40,7 @@ class Chain:
     0
     """
 
-    __slots__ = ("classes", "_index", "_by_class")
+    __slots__ = ("classes", "_index")
 
     def __init__(self, classes: Iterable[Iterable[Label]]):
         listed = [list(cls) for cls in classes]
@@ -55,7 +55,6 @@ class Chain:
                     raise ValueError(f"label {shown(repr(label))} appears in more than one class")
         self.classes = tuple(frozenset(cls) for cls in listed)
         self._index = index
-        self._by_class: tuple[tuple[int, Label], ...] | None = None
 
     # ------------------------------------------------------------ queries
 
@@ -71,17 +70,14 @@ class Chain:
     def labels_by_class(self) -> tuple[tuple[int, Label], ...]:
         """``(class index, label)`` pairs, class by class and sorted within a class.
 
-        The order does not depend on string hashing; it is worked out on the
-        first call and kept.
+        This is the one within-class order of the package: distributions built
+        from a box and the oracle's mass variables list labels in it, so it
+        does not depend on string hashing.
 
         >>> Chain([["c", "a"], ["b"]]).labels_by_class()
         ((0, 'a'), (0, 'c'), (1, 'b'))
         """
-        if self._by_class is None:
-            self._by_class = tuple(
-                (i, label) for i, cls in enumerate(self.classes) for label in sorted(cls)
-            )
-        return self._by_class
+        return tuple((i, label) for i, cls in enumerate(self.classes) for label in sorted(cls))
 
     def index_of(self, label: Label) -> int:
         try:

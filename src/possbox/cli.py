@@ -300,8 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
     joint.add_argument("--rule", required=True, choices=JOINTS)
     verify = add("verify", _cmd_verify, "run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--max-classes", type=int, default=None, dest="max_classes")
-    verify.add_argument("--grid", type=int, default=None)
+    # Neither size has a ceiling: an explicit value is the caller's choice.
+    verify.add_argument(
+        "--max-classes",
+        type=int,
+        default=None,
+        dest="max_classes",
+        help="largest chain, sample domain or marginal domain, by suite (default: the suite's own);"
+        " no ceiling, and the work grows exponentially: each box has 2**max_classes events",
+    )
+    verify.add_argument(
+        "--grid",
+        type=int,
+        default=None,
+        help="denominator of the value grid (default: the suite's own); no ceiling,"
+        " and the grid boxes of each chain size grow with the grid",
+    )
 
     return parser
 

@@ -235,16 +235,12 @@ def _pivot(
 # --------------------------------------------------------------- credal LPs
 
 
-def _elements(box: PBox) -> list[Label]:
-    """The box's elements, class by class: the order of the mass variables."""
-    return [label for cls in box.chain.classes for label in sorted(cls)]
-
-
 @lru_cache(maxsize=1)
 def _box_region(box: PBox) -> Region:
     """The box's credal set: cumulative constraints on element masses, class by class.
 
-    The prefix row of class ``i`` sums the masses of classes ``0..i``.
+    The mass variables follow :meth:`possbox.chain.Chain.labels_by_class`,
+    and the prefix row of class ``i`` sums the masses of classes ``0..i``.
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
     The top class carries the total-mass equality.  One slot keeps the
@@ -295,7 +291,7 @@ def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
     hit = box.chain.event(event)
     if not hit:
         return ZERO
-    objective = [ONE if label in hit else ZERO for label in _elements(box)]
+    objective = [ONE if label in hit else ZERO for _, label in box.chain.labels_by_class()]
     region = _box_region(box)
     return simplex_max(region.num_vars, region.constraints, objective, region=region)
 
@@ -368,7 +364,7 @@ def credal_intersection_equal(
     chain = box.chain
     if pi_one.labels != chain.labels or pi_two.labels != chain.labels:
         raise ValueError("distributions must share the box's element set")
-    elements = _elements(box)
+    elements = [label for _, label in chain.labels_by_class()]
     n = len(elements)
     if n > max_elements:
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")

@@ -132,7 +132,7 @@ def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:
     for label, v in pi.items():
         levels.setdefault(v, []).append(label)
     ordered = sorted(levels)
-    chain = Chain([sorted(levels[v], key=repr) for v in ordered])
+    chain = Chain([levels[v] for v in ordered])
     m = len(ordered)
     lower = [ZERO] * (m - 1) + [ONE]
     box = PBox(chain, lower, ordered)
@@ -182,16 +182,29 @@ def conjunction_decompose(box: PBox) -> tuple[PossibilityDistribution, Possibili
 def conjunction_bounds(box: PBox, event: Iterable[Label]) -> tuple[Fraction, Fraction]:
     """Sandwich an event's exact probability bounds between possibility ones.
 
-    Returns ``(approx_lower, approx_upper)`` computed from the conjunction
+    Returns ``(approx_lower, approx_upper)`` for the conjunction
     decomposition: the approximate upper value is the smaller of the two
     possibility measures, the approximate lower value the larger of their
     conjugates.  They always enclose the exact natural-extension interval;
     the slack of the upper one on an interval ``(x, y]`` is
     ``min(lower(x), 1 - upper(y))``.
+
+    Both measures are read off the cumulative vectors without building the
+    distributions of :func:`conjunction_decompose`.  The first distribution,
+    ``1 - lower`` just below a class, never rises along the chain, and the
+    second, ``upper`` at a class, never falls; so the first measures an
+    event by its lowest class and the second by its highest.  The conjugates
+    need the same two end classes of the complement.
+
+    >>> from possbox.chain import Chain
+    >>> box = PBox(Chain([["a"], ["b"], ["c"]]), ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])
+    >>> [str(v) for v in conjunction_bounds(box, {"b"})]
+    ['0', '4/5']
     """
-    ev = box.chain.event(event)
-    comp = box.chain.complement(ev)
-    pi_lower, pi_upper = conjunction_decompose(box)
-    approx_upper = min(pi_lower.measure(ev), pi_upper.measure(ev))
-    approx_lower = max(ONE - pi_lower.measure(comp), ONE - pi_upper.measure(comp))
+    chain = box.chain
+    ev = chain.event(event)
+    hit = chain.classes_hit(ev)
+    missed = chain.classes_hit(chain.labels - ev)
+    approx_upper = min(ONE - box.lower_at(hit[0] - 1), box.upper_at(hit[-1])) if hit else ZERO
+    approx_lower = max(box.lower_at(missed[0] - 1), ONE - box.upper_at(missed[-1])) if missed else ONE
     return approx_lower, approx_upper

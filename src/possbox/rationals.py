@@ -6,10 +6,19 @@ strings such as ``"1/2"`` or ``"0.8"`` (decimal strings parse exactly).
 Binary floats are rejected: ``0.8`` the float is not ``4/5``, and silently
 accepting it would poison every downstream equality.  Booleans are rejected
 too: a JSON ``true`` is not the number 1.
+
+A string is read in one syntax, the same on every supported Python: an
+optional ``+`` or ``-``, then either ASCII digits, ``/`` and ASCII digits,
+or a decimal (``"3"``, ``"0.25"``, ``"2."``, ``".5"``) with an optional
+exponent (``"1e-3"``, ``"5E+2"``), with whitespace allowed around the
+whole.  No ``_`` separators, no spaces around ``/`` and no digits of other
+scripts: :class:`fractions.Fraction` reads some of these on some Python
+versions only.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -19,6 +28,11 @@ ONE = Fraction(1)
 #: reads: ``"1e-99999999"`` would make Python build ``10 ** 99999999``, and past the
 #: bound a positive exponent puts any nonzero value above 1, outside every probability.
 MAX_DIGITS = 1000
+
+#: The number syntax of a string; group ``exponent`` holds the decimal exponent's digits.
+_NUMBER = re.compile(
+    r"\s*[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?(?P<exponent>[0-9]+))?)\s*"
+)
 
 
 def shown(value: object) -> str:
@@ -42,9 +56,12 @@ def exact(value: object) -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and ("e" in value or "E" in value or len(value) > MAX_DIGITS):
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-        if len(value) > MAX_DIGITS or exponent.isdecimal() and int(exponent) > MAX_DIGITS:
+    if isinstance(value, str):
+        too_long = len(value) > MAX_DIGITS
+        number = None if too_long else _NUMBER.fullmatch(value)
+        if number is None and not too_long:
+            raise ValueError(f"not an exact rational: {shown(repr(value))}")
+        if too_long or int(number["exponent"] or 0) > MAX_DIGITS:
             raise ValueError(f"refusing {shown(repr(value))}: length or exponent over {MAX_DIGITS}")
     try:
         return Fraction(value)  # type: ignore[arg-type]

@@ -18,6 +18,7 @@ from possbox import (
     possibility_to_pbox,
     zero_one_possibility,
 )
+from possbox.verify import iter_grid_pboxes
 
 
 def test_distribution_validation():
@@ -161,6 +162,43 @@ def test_conjunction_bounds_sandwich(p2):
             approx_lower, approx_upper = conjunction_bounds(p2, event)
             assert approx_lower <= p2.lower(event)
             assert p2.upper(event) <= approx_upper
+
+
+def assert_bounds_are_the_decomposition_measures(box):
+    pi_one, pi_two = conjunction_decompose(box)
+    labels = sorted(box.chain.labels)
+    for k in range(len(labels) + 1):
+        for combo in combinations(labels, k):
+            event = frozenset(combo)
+            rest = box.chain.labels - event
+            approx_upper = min(pi_one.measure(event), pi_two.measure(event))
+            approx_lower = max(1 - pi_one.measure(rest), 1 - pi_two.measure(rest))
+            assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
+    for box in iter_grid_pboxes(m, 4):
+        assert_bounds_are_the_decomposition_measures(box)
+
+
+def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
+    # Every event of five labels, the empty and full ones and those that
+    # cut a tied class among them, on every grid box with three classes.
+    tied = Chain([["a", "b"], ["c"], ["d", "e"]])
+    for box in iter_grid_pboxes(3, 4):
+        assert_bounds_are_the_decomposition_measures(PBox(tied, box.lower_cdf, box.upper_cdf))
+
+
+def test_conjunction_bounds_on_end_events_and_cut_classes():
+    box = PBox(Chain([["a", "b"], ["c"], ["d", "e"]]), ["1/4", "1/2", "1"], ["1/2", "3/4", "1"])
+    assert conjunction_bounds(box, []) == (0, 0)
+    assert conjunction_bounds(box, "abcde") == (1, 1)
+    # {b, c} cuts the bottom class, so its complement {a, d, e} hits both end classes.
+    assert conjunction_bounds(box, {"b", "c"}) == (0, Fraction(3, 4))
+    assert conjunction_bounds(box, {"a", "b", "c"}) == (Fraction(1, 2), Fraction(3, 4))
+    with pytest.raises(ValueError, match="^unknown label 'z'$"):
+        conjunction_bounds(box, ["a", "z", "y"])
 
 
 def test_conjunction_upper_gap_on_middle_class(p2):
