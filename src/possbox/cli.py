@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from possbox.chain import Chain
 from possbox.maxitive import is_maxitive
@@ -35,6 +35,16 @@ from possbox.verify import SUITES, pbox_document, run_suite
 
 class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one ``error:`` line and exit 2.
+
+    ``add_subparsers`` builds the command parsers with this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, "error: " + " ".join(message.splitlines()) + "\n")
 
 
 def _load_document(args: argparse.Namespace) -> dict:
@@ -125,8 +135,14 @@ def _event_from_args(args: argparse.Namespace, chain: Chain) -> frozenset[str]:
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
-    else:
+        return
+    try:
         print(text)
+    except UnicodeEncodeError as exc:  # raised before anything is written
+        bad = exc.object[exc.start : exc.end]
+        raise CliError(
+            f"stdout ({exc.encoding}) cannot encode {shown(ascii(bad))}; use --json"
+        ) from exc
 
 
 # ----------------------------------------------------------------- commands
@@ -272,7 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="possbox",
         description="Exact event bounds from probability boxes and possibility measures.",
     )

@@ -2,15 +2,18 @@
 
 The upper probability induced by a probability box is maxitive (a
 possibility measure, on finite chains) exactly when at least one of the two
-cumulative vectors is 0-1-valued.  When that happens the natural extension
-collapses to much simpler scans driven by where the cumulative vectors leave
-zero; this module decides the property and implements those specialized
-forms.  Agreement of each specialized form with the general
+cumulative vectors is 0-1-valued.  When that happens the natural extension of
+an event needs no scan: the cumulative vectors are monotone, so it is read
+at one end class of the event, its highest class at or below where a 0-1
+lower vector reaches 1 or its lowest class at or above where a 0-1 upper
+vector leaves 0.  This module decides the property and implements those
+specialized forms.  Agreement of each specialized form with the general
 :meth:`possbox.pbox.PBox.upper` is part of the verification suites.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -85,71 +88,52 @@ def is_maxitive(box: PBox) -> bool:
 def upper_01_lower(box: PBox, event: Iterable[Label]) -> Fraction:
     """Natural-extension upper probability when the *lower* vector is 0-1.
 
-    Scans the classes where the lower vector has already reached 1: for each
-    such class ``y``, the event restricted to ``[bottom, y]`` must be topped
-    by upper cumulative mass, giving the upper value at the topmost class
-    the restriction intersects (0 when the restriction is empty).  The
-    result is the minimum over all such ``y``.
+    The lower vector reaches 1 at ``b1 = first_lower_positive``, so every
+    distribution in the box puts all its mass at or below ``b1``, and below
+    ``b1`` the lower vector is 0.  The event's mass is therefore topped by
+    the upper cumulative value at ``t``, the highest class of the event at
+    or below ``b1``, and the box holds a distribution reaching it.  With no
+    such class the value is 0.
     """
     profile = zero_one_profile(box)
     if not profile.lower_is_01:
         raise ValueError("lower cumulative vector is not 0-1-valued")
     hit = box.chain.classes_hit(event)
-    best = ONE
-    for y in range(profile.first_lower_positive, box.m):
-        topmost = SENTINEL
-        for i in hit:
-            if i <= y:
-                topmost = i
-            else:
-                break
-        value = box.upper_at(topmost)
-        if value < best:
-            best = value
-    return best
+    k = bisect_right(hit, profile.first_lower_positive)
+    return box.upper_at(hit[k - 1] if k else SENTINEL)
 
 
 def upper_01_upper(box: PBox, event: Iterable[Label]) -> Fraction:
     """Natural-extension upper probability when the *upper* vector is 0-1.
 
-    Dual scan: for each class ``x`` where the upper vector is still 0
-    (including the sentinel), all lower cumulative mass strictly below the
-    part of the event above ``x`` is unavailable to the event.  With the
-    convention that an empty restriction frees everything (the supremum
-    rises to 1), the result is 1 minus the largest such blocked mass.
+    The upper vector is 0 below ``c1 = first_upper_positive``, so no
+    distribution in the box puts mass below ``c1``.  Let ``s`` be the lowest
+    class of the event at or above ``c1``: at least ``lower(s - 1)`` sits
+    strictly below ``s``, outside the event, and the rest can sit at ``s``.
+    The value is ``1 - lower(s - 1)``, or 0 when there is no such class.
     """
     profile = zero_one_profile(box)
     if not profile.upper_is_01:
         raise ValueError("upper cumulative vector is not 0-1-valued")
     hit = box.chain.classes_hit(event)
-    blocked = ZERO
-    for x in range(SENTINEL, profile.first_upper_positive):
-        above = next((i for i in hit if i > x), None)
-        value = ONE if above is None else box.lower_at(above - 1)
-        if value > blocked:
-            blocked = value
-    return ONE - blocked
+    k = bisect_left(hit, profile.first_upper_positive)
+    return ONE - box.lower_at(hit[k] - 1) if k < len(hit) else ZERO
 
 
 def upper_01_both(box: PBox, event: Iterable[Label]) -> Fraction:
     """Natural-extension upper probability when *both* vectors are 0-1.
 
-    The value is then itself 0-1.  With ``c = upper_zero_end`` and
-    ``b = lower_zero_end``, the event has upper probability 0 exactly when
-    it avoids the middle classes ``c+1 .. b`` and its part above class ``b``
-    leaves at least one class of ``b+1 ..`` strictly below it; otherwise the
-    value is 1.  When the zero prefixes coincide the box is a degenerate
-    (precise) distribution putting all mass on class ``b + 1``.
+    The value is then itself 0-1.  Every distribution in the box puts all
+    its mass in the window ``c1 .. b1`` between ``c1 =
+    first_upper_positive`` and ``b1 = first_lower_positive`` (the window
+    :func:`possbox.possibility.zero_one_possibility` reads), and any one
+    class of the window can take all of it.  So the value is 1 exactly when
+    the event hits a class of the window.  When ``c1 == b1`` the box is a
+    degenerate (precise) distribution putting all mass on that class.
     """
     profile = zero_one_profile(box)
     if not (profile.lower_is_01 and profile.upper_is_01):
         raise ValueError("both cumulative vectors must be 0-1-valued")
-    b = profile.lower_zero_end
-    c = profile.upper_zero_end
     hit = box.chain.classes_hit(event)
-    if any(c < i <= b for i in hit):
-        return ONE
-    above = [i for i in hit if i > b]
-    if not above or min(above) >= b + 2:
-        return ZERO
-    return ONE
+    k = bisect_left(hit, profile.first_upper_positive)
+    return ONE if k < len(hit) and hit[k] <= profile.first_lower_positive else ZERO

@@ -92,8 +92,12 @@ def iter_cdf_vectors(m: int, values: Sequence[Fraction]) -> Iterator[tuple[Fract
 
 def iter_grid_pboxes(m: int, grid_den: int) -> Iterator[PBox]:
     """Every probability box on the canonical ``m``-chain with grid values."""
-    chain = default_chain(m)
-    vectors = list(iter_cdf_vectors(m, grid_values(grid_den)))
+    yield from iter_chain_pboxes(default_chain(m), grid_den)
+
+
+def iter_chain_pboxes(chain: Chain, grid_den: int) -> Iterator[PBox]:
+    """Every probability box on ``chain`` with grid values."""
+    vectors = list(iter_cdf_vectors(chain.m, grid_values(grid_den)))
     for upper in vectors:
         for lower in vectors:
             if all(lo <= up for lo, up in zip(lower, upper)):

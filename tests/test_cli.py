@@ -282,6 +282,59 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["upper", "--bogus"], "error: unrecognized arguments: --bogus"),
+        (["verify", "--suite", "oracle", "--grid", "x"], "error: argument --grid: invalid int value: 'x'"),
+        (["verify", "--suite", "bogus"], "error: argument --suite: invalid choice: 'bogus'"),
+        (["joint"], "error: the following arguments are required: --rule"),
+        ([], "error: the following arguments are required: command"),
+        (["upper", "--bo\ngus"], "error: unrecognized arguments: --bo gus\n"),
+    ],
+    ids=[
+        "unknown-flag",
+        "non-int-grid",
+        "unknown-suite",
+        "joint-without-rule",
+        "no-command",
+        "newline-in-flag",
+    ],
+)
+def test_argv_errors_print_one_line(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(line)
+
+
+@pytest.mark.parametrize(
+    "doc, command, json_out",
+    [
+        (
+            {"classes": [["\ud800"], ["b"]], "lower": ["0", "1"], "upper": ["1", "1"]},
+            "to-possibility",
+            '{"pi":{"\\ud800":"1","b":"1"}}\n',
+        ),
+        (
+            {"pi": {"\ud800": "1"}},
+            "from-possibility",
+            '{"classes":[["\\ud800"]],"lower":["1"],"upper":["1"]}\n',
+        ),
+    ],
+    ids=["to-possibility", "from-possibility"],
+)
+def test_output_stdout_cannot_encode_exits_2(write_doc, doc, command, json_out):
+    # A real process, so the text goes through stdout's strict encoder.
+    path = write_doc(doc)
+    done = run_process([command, "--input", path], PYTHONIOENCODING="utf-8")
+    line = "error: stdout (utf-8) cannot encode '\\ud800'; use --json\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
+    done = run_process([command, "--input", path, "--json"], PYTHONIOENCODING="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, json_out, "")
+
+
+@pytest.mark.parametrize(
     "doc, argv, line",
     [
         (

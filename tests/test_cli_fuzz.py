@@ -3,8 +3,10 @@
 Documents are written to a file as bytes, so undecodable input reaches the
 CLI the way it would from disk.  Most documents are valid models, some with
 one field spoiled; the rest are bad bytes, deep nesting and stray JSON.
-Exit 2 must come with exactly one stderr line, exit 0 with none, and
-nothing may escape as an exception.
+Some argvs are spoiled so that argument parsing rejects them; those must
+exit 2.  Exit 2 must come with exactly one stderr line, exit 0 with none,
+and nothing but argument parsing's ``SystemExit(2)`` may escape as an
+exception.
 """
 
 import contextlib
@@ -104,14 +106,42 @@ MODEL_OF = {
     "verify": models,
 }
 SIZES = st.integers(-2, 2).map(str)
+#: Arguments no command accepts: unknown flags, a value for ``--json``, a stray word.
+#: None abbreviates a real flag.
+UNKNOWN_FLAGS = ("--bogus", "--events", "-x", "--json=1", "stray")
+NOT_INTS = ("x", "", "1.5", "0x1", "1e3")
+
+
+def spoil_argv(draw, argv):
+    """Add an unknown flag, or give a size that is no int, a suite or rule that
+    does not exist, or drop a required flag."""
+    command = argv[0]
+    actions = ("flag", "size", "choice", "drop") if command == "verify" else ("flag",)
+    if command == "joint":
+        actions += ("choice", "drop")
+    action = draw(st.sampled_from(actions))
+    if action == "flag":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(UNKNOWN_FLAGS)))
+    elif action == "size":
+        argv[argv.index(draw(st.sampled_from(("--max-classes", "--grid")))) + 1] = draw(
+            st.sampled_from(NOT_INTS)
+        )
+    else:
+        at = argv.index("--suite" if command == "verify" else "--rule")
+        if action == "choice":
+            argv[at + 1] = draw(st.sampled_from(("bogus", "")))
+        else:
+            del argv[at : at + 2]
 
 
 @st.composite
 def cases(draw, path):
-    """An argv for every command and flag, and the bytes of the document it reads.
+    """An argv for every command and flag, the bytes of the document it reads,
+    and whether the argv is spoiled.
 
     Most documents are a model the command reads, whole or spoiled; an
     event names labels of the model, unknown labels and labels holding ``,``.
+    One argv in eight is spoiled.
     """
     command = draw(st.sampled_from(sorted(MODEL_OF)))
     kind = draw(st.sampled_from(("whole", "spoiled", "spoiled", "other", *non_models)))
@@ -139,19 +169,25 @@ def cases(draw, path):
             argv.append("--complement")
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, document
+    spoiled = draw(st.integers(0, 7)) == 0
+    if spoiled:
+        spoil_argv(draw, argv)
+    return argv, document, spoiled
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_document_and_command_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    argv, document = data.draw(cases(str(path)))
+    argv, document, spoiled = data.draw(cases(str(path)))
     path.write_bytes(document)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argument parsing rejected the argv
+            code = exc.code
+    assert code == 2 if spoiled else code in (0, 2)
     if code == 0:
         assert err.getvalue() == "" and out.getvalue().endswith("\n")
     else:

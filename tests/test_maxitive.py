@@ -5,13 +5,15 @@ from types import SimpleNamespace
 import pytest
 
 from possbox import (
+    Chain,
     is_maxitive,
     upper_01_both,
     upper_01_lower,
     upper_01_upper,
+    zero_one_possibility,
     zero_one_profile,
 )
-from possbox.verify import iter_grid_pboxes
+from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
 
 
 def test_profiles(p1, p2, q, r, precise):
@@ -90,18 +92,25 @@ def test_upper_01_both_frozen(r, precise):
     assert upper_01_both(precise, {"b", "c"}) == 1
 
 
+#: Chains with tied classes; ``suite_maxitive`` enumerates singleton classes only.
+TIED_CHAINS = (Chain([["a", "b"], ["c"], ["d", "e"]]), Chain([["a"], ["b", "c", "d"]]))
+
+
 def test_specialized_formulas_agree_with_general_route():
-    for m in range(1, 4):
-        for box in iter_grid_pboxes(m, 2):
-            profile = zero_one_profile(box)
-            labels = sorted(box.chain.labels)
-            for k in range(len(labels) + 1):
-                for combo in combinations(labels, k):
-                    event = frozenset(combo)
-                    expected = box.upper(event)
-                    if profile.lower_is_01:
-                        assert upper_01_lower(box, event) == expected
-                    if profile.upper_is_01:
-                        assert upper_01_upper(box, event) == expected
-                    if profile.lower_is_01 and profile.upper_is_01:
-                        assert upper_01_both(box, event) == expected
+    boxes = [box for m in range(1, 4) for box in iter_grid_pboxes(m, 2)]
+    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
+    for box in boxes:
+        profile = zero_one_profile(box)
+        both = profile.lower_is_01 and profile.upper_is_01
+        window = zero_one_possibility(box) if both else None
+        labels = sorted(box.chain.labels)
+        for k in range(len(labels) + 1):
+            for combo in combinations(labels, k):
+                event = frozenset(combo)
+                expected = box.upper(event)
+                if profile.lower_is_01:
+                    assert upper_01_lower(box, event) == expected
+                if profile.upper_is_01:
+                    assert upper_01_upper(box, event) == expected
+                if both:
+                    assert upper_01_both(box, event) == expected == window.measure(event)

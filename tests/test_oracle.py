@@ -6,7 +6,6 @@ import pytest
 
 from possbox import (
     Chain,
-    PBox,
     PossibilityDistribution,
     check_coherence,
     conjunction_decompose,
@@ -17,7 +16,7 @@ from possbox import (
 )
 from possbox import oracle
 from possbox.oracle import Infeasible, simplex_max
-from possbox.verify import grid_values, iter_cdf_vectors, iter_grid_pboxes
+from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
 
 
 def test_simplex_small_known_optima():
@@ -227,15 +226,10 @@ def test_oracle_matches_formula_on_tied_chains():
         events = [
             frozenset(combo) for k in range(len(labels) + 1) for combo in combinations(labels, k)
         ]
-        vectors = list(iter_cdf_vectors(chain.m, grid_values(4)))
-        for lower in vectors:
-            for upper in vectors:
-                if any(lo > up for lo, up in zip(lower, upper)):
-                    continue
-                box = PBox(chain, lower, upper)
-                for event in events:
-                    assert credal_upper(box, event) == box.upper(event)
-                    assert credal_lower(box, event) == box.lower(event)
+        for box in iter_chain_pboxes(chain, 4):
+            for event in events:
+                assert credal_upper(box, event) == box.upper(event)
+                assert credal_lower(box, event) == box.lower(event)
 
 
 def test_check_coherence_on_fixtures(p1, p2, q, r, precise):
