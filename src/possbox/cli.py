@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import NoReturn, Sequence
 
@@ -40,11 +41,15 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one ``error:`` line and exit 2.
 
+    Like values in input errors, each whitespace-free run of more than 40
+    characters in the line is cut by :func:`~possbox.rationals.shown`.
+
     ``add_subparsers`` builds the command parsers with this class too.
     """
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, "error: " + " ".join(message.splitlines()) + "\n")
+        line = re.sub(r"\S{41,}", lambda run: shown(run.group()), " ".join(message.splitlines()))
+        self.exit(2, f"error: {line}\n")
 
 
 def _load_document(args: argparse.Namespace) -> dict:

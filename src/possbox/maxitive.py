@@ -59,14 +59,13 @@ def zero_one_profile(box: PBox) -> ZeroOneProfile:
     >>> (prof.lower_zero_end, prof.upper_zero_end, prof.lower_is_01, prof.upper_is_01)
     (1, 0, True, True)
     """
-    lower_zero_end = SENTINEL
-    while lower_zero_end + 1 < box.m and box.lower_cdf[lower_zero_end + 1] == ZERO:
-        lower_zero_end += 1
-    upper_zero_end = SENTINEL
-    while upper_zero_end + 1 < box.m and box.upper_cdf[upper_zero_end + 1] == ZERO:
-        upper_zero_end += 1
-    lower_is_01 = all(v == ZERO or v == ONE for v in box.lower_cdf)
-    upper_is_01 = all(v == ZERO or v == ONE for v in box.upper_cdf)
+    # Both vectors are non-decreasing and end at 1: each zero prefix ends
+    # before the top class, and a vector is 0-1 exactly when it is 1 right
+    # after its zero prefix.
+    lower_zero_end = bisect_right(box.lower_cdf, ZERO) - 1
+    upper_zero_end = bisect_right(box.upper_cdf, ZERO) - 1
+    lower_is_01 = box.lower_cdf[lower_zero_end + 1] == ONE
+    upper_is_01 = box.upper_cdf[upper_zero_end + 1] == ONE
     if upper_zero_end > lower_zero_end:
         raise ValueError(
             f"lower cumulative vector exceeds the upper one at class {lower_zero_end + 1}"

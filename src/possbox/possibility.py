@@ -42,15 +42,17 @@ class PossibilityDistribution:
         if not values:
             raise ValueError("a possibility distribution needs a non-empty domain")
         converted: dict[Hashable, Fraction] = {}
-        top = ZERO
+        attained = False
         for label, raw in values.items():
             q = exact(raw)
-            if not (ZERO <= q <= ONE):
+            # Integer comparisons: a Fraction's denominator is positive, and
+            # its value is 1 exactly when numerator and denominator agree.
+            if not 0 <= q.numerator <= q.denominator:
                 raise ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
             converted[label] = q
-            if q > top:
-                top = q
-        if top != ONE:
+            if q.numerator == q.denominator:
+                attained = True
+        if not attained:
             raise ValueError("a possibility distribution must attain the value 1")
         self._values = converted
 

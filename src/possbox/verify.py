@@ -67,6 +67,11 @@ class SuiteReport:
         state = "ok" if self.ok else "FAILED"
         return f"suite {self.suite}: {state} ({self.cases} cases, {self.checks} checks)"
 
+    def fail(self, **counterexample) -> SuiteReport:
+        """Record the suite's first failure, keys in the order given, and return the report."""
+        self.counterexample = counterexample
+        return self
+
 
 # ------------------------------------------------------------- enumerations
 
@@ -125,6 +130,20 @@ def _event_labels(subset: tuple[int, ...]) -> list[str]:
 # ------------------------------------------------------------------ suites
 
 
+def _grid_boxes(
+    report: SuiteReport, max_classes: int, grid_den: int
+) -> Iterator[tuple[PBox, list[tuple[int, ...]]]]:
+    """Every grid box on chains of 1 to ``max_classes`` classes, with the class subsets of its chain.
+
+    Each box is counted as one case of ``report`` before it is yielded.
+    """
+    for m in range(1, max_classes + 1):
+        subsets = class_subsets(m)
+        for box in iter_grid_pboxes(m, grid_den):
+            report.cases += 1
+            yield box, subsets
+
+
 def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
     """Closed-form upper values against the credal LP, plus coherence.
 
@@ -134,30 +153,25 @@ def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
     also reproduce the cumulative bounds themselves (:func:`check_coherence`).
     """
     report = SuiteReport("oracle")
-    for m in range(1, max_classes + 1):
-        subsets = class_subsets(m)
-        for box in iter_grid_pboxes(m, grid_den):
-            report.cases += 1
-            optima = {}
-            for subset in subsets:
-                formula = box.upper_of_classes(subset)
-                optimum = optima[subset] = credal_upper_classes(box, subset)
-                report.checks += 1
-                if formula != optimum:
-                    report.counterexample = {
-                        "document": pbox_document(box),
-                        "event": _event_labels(subset),
-                        "closed_form": str(formula),
-                        "credal_optimum": str(optimum),
-                    }
-                    return report
-            report.checks += 2 * m
-            if not check_coherence(box, lambda _, subset: optima[subset]):
-                report.counterexample = {
-                    "document": pbox_document(box),
-                    "detail": "credal optima do not reproduce the cumulative bounds",
-                }
-                return report
+    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+        optima = {}
+        for subset in subsets:
+            formula = box.upper_of_classes(subset)
+            optimum = optima[subset] = credal_upper_classes(box, subset)
+            report.checks += 1
+            if formula != optimum:
+                return report.fail(
+                    document=pbox_document(box),
+                    event=_event_labels(subset),
+                    closed_form=str(formula),
+                    credal_optimum=str(optimum),
+                )
+        report.checks += 2 * box.m
+        if not check_coherence(box, lambda _, subset: optima[subset]):
+            return report.fail(
+                document=pbox_document(box),
+                detail="credal optima do not reproduce the cumulative bounds",
+            )
     return report
 
 
@@ -169,43 +183,34 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
     general one on every event where its precondition holds.
     """
     report = SuiteReport("maxitive")
-    for m in range(1, max_classes + 1):
-        subsets = class_subsets(m)
-        events = [_event_labels(s) for s in subsets]
-        for box in iter_grid_pboxes(m, grid_den):
-            report.cases += 1
-            decided = is_maxitive(box)
-            semantic = exhaustive_max_preserving(box)
-            report.checks += 1
-            if decided != semantic:
-                report.counterexample = {
-                    "document": pbox_document(box),
-                    "is_maxitive": decided,
-                    "max_preserving": semantic,
-                }
-                return report
-            profile = zero_one_profile(box)
-            forms = []
-            if profile.lower_is_01:
-                forms.append(("upper_01_lower", upper_01_lower))
-            if profile.upper_is_01:
-                forms.append(("upper_01_upper", upper_01_upper))
-            if profile.lower_is_01 and profile.upper_is_01:
-                forms.append(("upper_01_both", upper_01_both))
-            for subset, event in zip(subsets, events):
-                general = box.upper_of_classes(subset)
-                for name, form in forms:
-                    report.checks += 1
-                    special = form(box, event)
-                    if special != general:
-                        report.counterexample = {
-                            "document": pbox_document(box),
-                            "event": event,
-                            "formula": name,
-                            "specialized": str(special),
-                            "general": str(general),
-                        }
-                        return report
+    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+        decided = is_maxitive(box)
+        semantic = exhaustive_max_preserving(box)
+        report.checks += 1
+        if decided != semantic:
+            return report.fail(document=pbox_document(box), is_maxitive=decided, max_preserving=semantic)
+        profile = zero_one_profile(box)
+        forms = []
+        if profile.lower_is_01:
+            forms.append(("upper_01_lower", upper_01_lower))
+        if profile.upper_is_01:
+            forms.append(("upper_01_upper", upper_01_upper))
+        if profile.lower_is_01 and profile.upper_is_01:
+            forms.append(("upper_01_both", upper_01_both))
+        for subset in subsets:
+            general = box.upper_of_classes(subset)
+            event = _event_labels(subset)
+            for name, form in forms:
+                report.checks += 1
+                special = form(box, event)
+                if special != general:
+                    return report.fail(
+                        document=pbox_document(box),
+                        event=event,
+                        formula=name,
+                        specialized=str(special),
+                        general=str(general),
+                    )
     return report
 
 
@@ -241,12 +246,11 @@ def suite_roundtrip(
         report.checks += 1
         pi = pbox_to_possibility(box)
         if pi != target:
-            report.counterexample = {
-                "document": pbox_document(box),
-                "expected_pi": {k: str(v) for k, v in target.items()},
-                "computed_pi": None if pi is None else {k: str(v) for k, v in pi.items()},
-            }
-            return report
+            return report.fail(
+                document=pbox_document(box),
+                expected_pi={k: str(v) for k, v in target.items()},
+                computed_pi=None if pi is None else {k: str(v) for k, v in pi.items()},
+            )
 
     rng = random.Random(seed)
     for _ in range(samples):
@@ -254,52 +258,47 @@ def suite_roundtrip(
         report.cases += 1
         _, box = possibility_to_pbox(pi)
         labels = sorted(pi.labels)
-        for mask in range(1 << len(labels)):
-            event = [labels[j] for j in range(len(labels)) if mask >> j & 1]
+        for subset in class_subsets(len(labels)):
+            event = [labels[j] for j in subset]
+            upper = box.upper(event)
+            possibility = pi.measure(event)
             report.checks += 1
-            if box.upper(event) != pi.measure(event):
-                report.counterexample = {
-                    "pi": {k: str(v) for k, v in pi.items()},
-                    "event": event,
-                    "pbox_upper": str(box.upper(event)),
-                    "possibility": str(pi.measure(event)),
-                }
-                return report
+            if upper != possibility:
+                return report.fail(
+                    pi={k: str(v) for k, v in pi.items()},
+                    event=event,
+                    pbox_upper=str(upper),
+                    possibility=str(possibility),
+                )
 
-    for m in range(1, 4):
-        subsets = class_subsets(m)
-        for box in iter_grid_pboxes(m, grid_den=4):
-            report.cases += 1
-            pi = pbox_to_possibility(box)
+    for box, subsets in _grid_boxes(report, 3, grid_den=4):
+        pi = pbox_to_possibility(box)
+        maxitive = is_maxitive(box)
+        report.checks += 1
+        if (pi is not None) != maxitive:
+            return report.fail(document=pbox_document(box), is_maxitive=maxitive, converted=pi is not None)
+        if pi is None:
+            continue
+        for subset in subsets:
+            event = _event_labels(subset)
+            possibility = pi.measure(event)
+            upper = box.upper_of_classes(subset)
             report.checks += 1
-            if (pi is not None) != is_maxitive(box):
-                report.counterexample = {
-                    "document": pbox_document(box),
-                    "is_maxitive": is_maxitive(box),
-                    "converted": pi is not None,
-                }
-                return report
-            if pi is None:
-                continue
-            for subset in subsets:
-                report.checks += 1
-                if pi.measure(_event_labels(subset)) != box.upper_of_classes(subset):
-                    report.counterexample = {
-                        "document": pbox_document(box),
-                        "event": _event_labels(subset),
-                        "possibility": str(pi.measure(_event_labels(subset))),
-                        "pbox_upper": str(box.upper_of_classes(subset)),
-                    }
-                    return report
-            profile = zero_one_profile(box)
-            if profile.lower_is_01 and profile.upper_is_01:
-                report.checks += 1
-                if zero_one_possibility(box) != pi:
-                    report.counterexample = {
-                        "document": pbox_document(box),
-                        "detail": "zero_one_possibility disagrees with pbox_to_possibility",
-                    }
-                    return report
+            if possibility != upper:
+                return report.fail(
+                    document=pbox_document(box),
+                    event=event,
+                    possibility=str(possibility),
+                    pbox_upper=str(upper),
+                )
+        profile = zero_one_profile(box)
+        if profile.lower_is_01 and profile.upper_is_01:
+            report.checks += 1
+            if zero_one_possibility(box) != pi:
+                return report.fail(
+                    document=pbox_document(box),
+                    detail="zero_one_possibility disagrees with pbox_to_possibility",
+                )
     return report
 
 
@@ -313,48 +312,43 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
     ``min(lower(x), 1 - upper(y))``.
     """
     report = SuiteReport("conjunction")
-    for m in range(1, max_classes + 1):
-        subsets = class_subsets(m)
-        for box in iter_grid_pboxes(m, grid_den):
-            report.cases += 1
-            pi_lower, pi_upper = conjunction_decompose(box)
+    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+        pi_lower, pi_upper = conjunction_decompose(box)
+        report.checks += 1
+        if not credal_intersection_equal(box, pi_lower, pi_upper):
+            return report.fail(
+                document=pbox_document(box),
+                detail="credal set differs from the intersection of the decomposition",
+            )
+        # In bitmask order the complement of the k-th subset is the k-th from the end.
+        for subset, complement in zip(subsets, reversed(subsets)):
+            event = _event_labels(subset)
+            approx_lo, approx_up = conjunction_bounds(box, event)
+            exact_up = box.upper_of_classes(subset)
+            exact_lo = ONE - box.upper_of_classes(complement)
             report.checks += 1
-            if not credal_intersection_equal(box, pi_lower, pi_upper):
-                report.counterexample = {
-                    "document": pbox_document(box),
-                    "detail": "credal set differs from the intersection of the decomposition",
-                }
-                return report
-            for subset in subsets:
+            if not (approx_lo <= exact_lo <= exact_up <= approx_up):
+                return report.fail(
+                    document=pbox_document(box),
+                    event=event,
+                    approx=[str(approx_lo), str(approx_up)],
+                    exact=[str(exact_lo), str(exact_up)],
+                )
+        for ix in range(box.m - 1):
+            for iy in range(ix + 1, box.m):
+                subset = tuple(range(ix + 1, iy + 1))
                 event = _event_labels(subset)
-                approx_lo, approx_up = conjunction_bounds(box, event)
-                exact_up = box.upper_of_classes(subset)
-                exact_lo = ONE - box.upper_of_classes(tuple(i for i in range(m) if i not in subset))
+                _, approx_up = conjunction_bounds(box, event)
+                slack = approx_up - box.upper_of_classes(subset)
+                expected = min(box.lower_cdf[ix], ONE - box.upper_cdf[iy])
                 report.checks += 1
-                if not (approx_lo <= exact_lo <= exact_up <= approx_up):
-                    report.counterexample = {
-                        "document": pbox_document(box),
-                        "event": event,
-                        "approx": [str(approx_lo), str(approx_up)],
-                        "exact": [str(exact_lo), str(exact_up)],
-                    }
-                    return report
-            for ix in range(m - 1):
-                for iy in range(ix + 1, m):
-                    subset = tuple(range(ix + 1, iy + 1))
-                    event = _event_labels(subset)
-                    _, approx_up = conjunction_bounds(box, event)
-                    slack = approx_up - box.upper_of_classes(subset)
-                    expected = min(box.lower_cdf[ix], ONE - box.upper_cdf[iy])
-                    report.checks += 1
-                    if slack != expected:
-                        report.counterexample = {
-                            "document": pbox_document(box),
-                            "event": event,
-                            "slack": str(slack),
-                            "expected_slack": str(expected),
-                        }
-                        return report
+                if slack != expected:
+                    return report.fail(
+                        document=pbox_document(box),
+                        event=event,
+                        slack=str(slack),
+                        expected_slack=str(expected),
+                    )
     return report
 
 
@@ -365,6 +359,13 @@ def _canonical_marginals(max_size: int, grid_den: int) -> list[PossibilityDistri
         PossibilityDistribution({f"e{j}": v for j, v in enumerate(vec)})
         for size in range(1, max_size + 1)
         for vec in iter_cdf_vectors(size, values)
+    ]
+
+
+def _marginals_document(family: MarginalFamily) -> list[dict[str, str]]:
+    """Replayable JSON form of a family's marginals, in the order of each domain."""
+    return [
+        {label: str(m[label]) for label in domain} for m, domain in zip(family.marginals, family.domains)
     ]
 
 
@@ -409,22 +410,17 @@ def suite_multivariate(
             independent = joint_independent(family)
             rsi = joint_rsi_outer(family)
 
-            def fail(detail: str, **extra) -> SuiteReport:
-                report.counterexample = {
-                    "marginals": [
-                        {label: str(m[label]) for label in domain}
-                        for m, domain in zip(family.marginals, family.domains)
-                    ],
-                    "detail": detail,
-                    **extra,
-                }
-                return report
-
             report.checks += 2 + len(frechet) + len(independent)
             if not least_conservative_check(family, frechet, "frechet"):
-                return fail("Fréchet joint fails its least-conservative check")
+                return report.fail(
+                    marginals=_marginals_document(family),
+                    detail="Fréchet joint fails its least-conservative check",
+                )
             if not least_conservative_check(family, independent, "independent"):
-                return fail("independent joint fails its least-conservative check")
+                return report.fail(
+                    marginals=_marginals_document(family),
+                    detail="independent joint fails its least-conservative check",
+                )
 
             rectangles = rectangle_values(family)
             for values, points in family.vectors():
@@ -433,8 +429,9 @@ def suite_multivariate(
                 outer = ONE - (ONE - w) ** n
                 report.checks += rectangles[values]
                 if outer < prod(values):
-                    return fail(
-                        "random-set outer bound fails rectangle dominance",
+                    return report.fail(
+                        marginals=_marginals_document(family),
+                        detail="random-set outer bound fails rectangle dominance",
                         rectangle=[[label] for label in next(points)],
                     )
                 at_one = ONE in values
@@ -446,19 +443,16 @@ def suite_multivariate(
                 for point in points:
                     report.checks += per_point
                     if rsi[point] != outer:
-                        return fail("random-set outer bound has the wrong pointwise form", point=list(point))
-                    if independent[point] > frechet[point]:
-                        return fail("independent joint exceeds the Fréchet joint", point=list(point))
-                    if at_one and rsi[point] > independent[point]:
-                        return fail(
-                            "random-set bound looser than independent at a value-1 point",
-                            point=list(point),
-                        )
-                    if below_half and not independent[point] < rsi[point]:
-                        return fail(
-                            "independent bound not strictly tighter below 1/2",
-                            point=list(point),
-                        )
+                        detail = "random-set outer bound has the wrong pointwise form"
+                    elif independent[point] > frechet[point]:
+                        detail = "independent joint exceeds the Fréchet joint"
+                    elif at_one and rsi[point] > independent[point]:
+                        detail = "random-set bound looser than independent at a value-1 point"
+                    elif below_half and not independent[point] < rsi[point]:
+                        detail = "independent bound not strictly tighter below 1/2"
+                    else:
+                        continue
+                    return report.fail(marginals=_marginals_document(family), detail=detail, point=list(point))
     return report
 
 

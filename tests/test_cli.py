@@ -308,6 +308,28 @@ def test_argv_errors_print_one_line(capsys, argv, line):
     assert err.startswith(line)
 
 
+LONG_RUN = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["upper", "--" + LONG_RUN], "error: unrecognized arguments: --" + "x" * 38 + "... (5002 characters)"),
+        (
+            ["verify", "--suite", "oracle", "--grid", LONG_RUN],
+            "error: argument --grid: invalid int value: '" + "x" * 39 + "... (5002 characters)",
+        ),
+    ],
+    ids=["long-flag", "long-grid-value"],
+)
+def test_argv_errors_cut_long_runs_like_input_errors(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (2, "", line + "\n")
+    assert len(err.encode()) < 120
+
+
 @pytest.mark.parametrize(
     "doc, command, json_out",
     [

@@ -114,3 +114,18 @@ def test_specialized_formulas_agree_with_general_route():
                     assert upper_01_upper(box, event) == expected
                 if both:
                     assert upper_01_both(box, event) == expected == window.measure(event)
+
+
+def test_profile_matches_a_scan_of_both_vectors():
+    def scanned(vector):
+        zero_end = -1
+        while vector[zero_end + 1] == 0:
+            zero_end += 1
+        return zero_end, all(v in (0, 1) for v in vector)
+
+    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
+    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
+    for box in boxes:
+        profile = zero_one_profile(box)
+        fields = (profile.lower_zero_end, profile.lower_is_01, profile.upper_zero_end, profile.upper_is_01)
+        assert fields == scanned(box.lower_cdf) + scanned(box.upper_cdf)

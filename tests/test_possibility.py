@@ -24,10 +24,13 @@ from possbox.verify import iter_grid_pboxes
 def test_distribution_validation():
     with pytest.raises(ValueError):
         PossibilityDistribution({})
-    with pytest.raises(ValueError):
-        PossibilityDistribution({"a": "1/2"})  # maximum must be one
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a possibility distribution must attain the value 1$"):
+        PossibilityDistribution({"a": "1/2", "b": "99/100"})
+    with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
         PossibilityDistribution({"a": "1", "b": "3/2"})
+    # The first value out of range in the caller's order is the one named.
+    with pytest.raises(ValueError, match=r"^value -1/3 for 'c' outside \[0, 1\]$"):
+        PossibilityDistribution({"c": "-1/3", "a": "1", "b": "3/2"})
     with pytest.raises(ValueError):
         PossibilityDistribution({"a": 0.5, "b": 1})
 

@@ -7,6 +7,7 @@ import pytest
 from possbox import PossibilityDistribution, multivariate, verify
 from possbox.cli import main
 from possbox.multivariate import joint_frechet, joint_independent, rectangle_values
+from possbox.possibility import conjunction_bounds, pbox_to_possibility, possibility_to_pbox
 from possbox.verify import (
     SUITES,
     SuiteReport,
@@ -276,3 +277,136 @@ def test_a_failed_rectangle_dominance_names_one_label_per_marginal(monkeypatch, 
     assert all(len(component) == 1 and component[0] in m for component, m in zip(rectangle, marginals))
     values = [Fraction(m[label]) for (label,), m in zip(rectangle, marginals)]
     assert half in values
+
+
+def flattened(pi):
+    return PossibilityDistribution(dict.fromkeys(pi, 1))
+
+
+def flattened_on_grid_boxes(box):
+    # The grid boxes' chains start at x0; the fixed readings' chains do not.
+    pi = pbox_to_possibility(box)
+    return flattened(pi) if pi is not None and "x0" in box.chain.labels else pi
+
+
+def raised_approx_upper(box, event):
+    approx_lo, approx_up = conjunction_bounds(box, event)
+    return approx_lo, approx_up + Fraction(1, 128)
+
+
+def constant_joint(value):
+    return lambda family: dict.fromkeys(family.points(), value)
+
+
+ACCEPT = {"least_conservative_check": lambda *args: True}
+POINT_KEYS = ["marginals", "detail", "point"]
+
+
+@pytest.mark.parametrize(
+    "suite, grid, rebound, keys, detail",
+    [
+        (
+            "oracle",
+            2,
+            {"check_coherence": lambda *args: False},
+            ["document", "detail"],
+            "credal optima do not reproduce the cumulative bounds",
+        ),
+        (
+            "maxitive",
+            2,
+            {"exhaustive_max_preserving": lambda box: False},
+            ["document", "is_maxitive", "max_preserving"],
+            None,
+        ),
+        (
+            "roundtrip",
+            2,
+            {"possibility_to_pbox": lambda pi: possibility_to_pbox(flattened(pi))},
+            ["pi", "event", "pbox_upper", "possibility"],
+            None,
+        ),
+        ("roundtrip", 2, {"is_maxitive": lambda box: False}, ["document", "is_maxitive", "converted"], None),
+        (
+            "roundtrip",
+            2,
+            {"pbox_to_possibility": flattened_on_grid_boxes},
+            ["document", "event", "possibility", "pbox_upper"],
+            None,
+        ),
+        (
+            "roundtrip",
+            2,
+            {"zero_one_possibility": lambda box: None},
+            ["document", "detail"],
+            "zero_one_possibility disagrees with pbox_to_possibility",
+        ),
+        (
+            "conjunction",
+            2,
+            {"credal_intersection_equal": lambda *args: False},
+            ["document", "detail"],
+            "credal set differs from the intersection of the decomposition",
+        ),
+        (
+            "conjunction",
+            2,
+            {"conjunction_bounds": raised_approx_upper},
+            ["document", "event", "slack", "expected_slack"],
+            None,
+        ),
+        (
+            "multivariate",
+            2,
+            {"joint_independent": joint_frechet},
+            ["marginals", "detail"],
+            "independent joint fails its least-conservative check",
+        ),
+        (
+            "multivariate",
+            2,
+            {**ACCEPT, "joint_frechet": joint_independent, "joint_independent": joint_frechet},
+            POINT_KEYS,
+            "independent joint exceeds the Fréchet joint",
+        ),
+        (
+            "multivariate",
+            2,
+            {**ACCEPT, "joint_independent": constant_joint(0)},
+            POINT_KEYS,
+            "random-set bound looser than independent at a value-1 point",
+        ),
+        (
+            # Grid 2 has no value strictly between 0 and 1/2.
+            "multivariate",
+            3,
+            {**ACCEPT, "joint_frechet": constant_joint(1), "joint_independent": constant_joint(1)},
+            POINT_KEYS,
+            "independent bound not strictly tighter below 1/2",
+        ),
+    ],
+    ids=[
+        "oracle-coherence",
+        "maxitive-decision",
+        "roundtrip-random",
+        "roundtrip-converted",
+        "roundtrip-possibility",
+        "roundtrip-zero-one",
+        "conjunction-intersection",
+        "conjunction-slack",
+        "multivariate-independent-check",
+        "multivariate-ordering",
+        "multivariate-value-one",
+        "multivariate-below-half",
+    ],
+)
+def test_each_failure_site_records_its_counterexample(monkeypatch, capsys, suite, grid, rebound, keys, detail):
+    for name, replacement in rebound.items():
+        monkeypatch.setattr(verify, name, replacement)
+    argv = ["verify", "--suite", suite, "--max-classes", "2", "--grid", str(grid), "--json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    counterexample = payload["counterexample"]
+    assert list(counterexample) == keys
+    assert counterexample.get("detail") == detail
