@@ -187,10 +187,8 @@ class IntervalUnion:
         """The union of the covered classes, as an event of ``chain``."""
         if chain.m != self.m:
             raise ValueError("interval union built for a different chain size")
-        out: set[Label] = set()
-        for i in self.class_indices():
-            out |= chain.classes[i]
-        return frozenset(out)
+        labels = (chain.class_range_labels(left + 1, right) for left, right in self.runs)
+        return frozenset().union(*labels)
 
     @classmethod
     def from_class_indices(cls, m: int, indices: Iterable[int]) -> "IntervalUnion":
@@ -200,17 +198,23 @@ class IntervalUnion:
         ((-1, 1), (2, 3))
         """
         seen = sorted(set(indices))
+        if seen and not (0 <= seen[0] and seen[-1] < m):
+            bad = next(i for i in seen if not 0 <= i < m)
+            raise ValueError(f"class index {bad} out of range for m={m}")
         runs: list[tuple[int, int]] = []
-        start: int | None = None
-        prev: int | None = None
         for i in seen:
-            if not 0 <= i < m:
-                raise ValueError(f"class index {i} out of range for m={m}")
-            if prev is None or i > prev + 1:
-                if start is not None and prev is not None:
-                    runs.append((start - 1, prev))
-                start = i
-            prev = i
-        if start is not None and prev is not None:
-            runs.append((start - 1, prev))
+            if runs and runs[-1][1] == i - 1:
+                runs[-1] = (runs[-1][0], i)
+            else:
+                runs.append((i - 1, i))
         return cls(m, tuple(runs))
+
+
+def class_subsets(m: int) -> list[tuple[int, ...]]:
+    """All subsets of the indices ``0..m-1``, in bitmask order (empty set first).
+
+    The subset at position ``mask`` holds the set bits of ``mask``: the union
+    of the subsets at ``a`` and ``b`` sits at ``a | b``, and the complement of
+    the ``k``-th subset is the ``k``-th from the end.
+    """
+    return [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]

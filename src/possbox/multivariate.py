@@ -25,7 +25,7 @@ from itertools import product
 from math import prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from possbox.possibility import PossibilityDistribution
+from possbox.possibility import PossibilityDistribution, value_levels
 from possbox.rationals import ONE
 
 #: Rectangle combination rules: name -> function of per-marginal measures.
@@ -54,7 +54,7 @@ class MarginalFamily:
         if not self.marginals:
             raise ValueError("a marginal family needs at least one marginal")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
-        self.levels = tuple(_levels(m, domain) for m, domain in zip(self.marginals, self.domains))
+        self.levels = tuple(value_levels(m, domain) for m, domain in zip(self.marginals, self.domains))
 
     @property
     def n(self) -> int:
@@ -87,16 +87,6 @@ class MarginalFamily:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, family has {self.n}")
         return max(m[x] for m, x in zip(self.marginals, point))
-
-
-def _levels(
-    marginal: PossibilityDistribution, domain: Sequence[Hashable]
-) -> tuple[tuple[Fraction, tuple], ...]:
-    """A marginal's distinct values, ascending, each with its labels in domain order."""
-    at: dict[Fraction, list] = {}
-    for label in domain:
-        at.setdefault(marginal[label], []).append(label)
-    return tuple((v, tuple(at[v])) for v in sorted(at))
 
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from possbox.chain import Label
+from possbox.chain import Label, class_subsets
 from possbox.pbox import PBox
 from possbox.possibility import PossibilityDistribution
 from possbox.rationals import ONE, ZERO, exact
@@ -341,8 +341,8 @@ def exhaustive_max_preserving(
         raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {max_classes}")
     if upper is None:
         upper = credal_upper_classes
-    masks = range(1 << m)
-    value = [upper(box, tuple(i for i in range(m) if mask >> i & 1)) for mask in masks]
+    value = [upper(box, subset) for subset in class_subsets(m)]
+    masks = range(len(value))
     return all(value[a | b] == max(value[a], value[b]) for a in masks for b in masks)
 
 
@@ -370,10 +370,10 @@ def credal_intersection_equal(
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")
     poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
     objectives: list[list[Fraction]] = []
-    for mask in range(1, 1 << n):
-        indicator = [ONE if mask >> k & 1 else ZERO for k in range(n)]
+    for subset in class_subsets(n)[1:]:
+        indicator = [ONE if k in subset else ZERO for k in range(n)]
         objectives.append(indicator)
-        members = [elements[k] for k in range(n) if mask >> k & 1]
+        members = [elements[k] for k in subset]
         for pi in (pi_one, pi_two):
             bound = pi.measure(members)
             if bound != ONE:

@@ -118,14 +118,11 @@ class PBox:
             raise ValueError("interval union built for a different chain size")
         forced = ZERO
         prev_right = SENTINEL
-        for left, right in union.runs:
+        for left, right in (*union.runs, (self.m - 1, None)):
             gap = self.lower_at(left) - self.upper_at(prev_right)
             if gap > 0:
                 forced += gap
             prev_right = right
-        gap = self.lower_at(self.m - 1) - self.upper_at(prev_right)
-        if gap > 0:
-            forced += gap
         return ONE - forced
 
     def upper(self, event: Iterable[Label]) -> Fraction:

@@ -130,15 +130,21 @@ def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:
     >>> box.upper_cdf
     (Fraction(1, 2), Fraction(1, 1))
     """
-    levels: dict[Fraction, list] = {}
-    for label, v in pi.items():
-        levels.setdefault(v, []).append(label)
-    ordered = sorted(levels)
-    chain = Chain([levels[v] for v in ordered])
-    m = len(ordered)
-    lower = [ZERO] * (m - 1) + [ONE]
-    box = PBox(chain, lower, ordered)
+    grouped = value_levels(pi, pi)
+    chain = Chain(labels for _, labels in grouped)
+    lower = [ZERO] * (len(grouped) - 1) + [ONE]
+    box = PBox(chain, lower, (v for v, _ in grouped))
     return chain, box
+
+
+def value_levels(
+    pi: PossibilityDistribution, labels: Iterable[Hashable]
+) -> tuple[tuple[Fraction, tuple], ...]:
+    """The distinct values of ``pi``, ascending, each with its labels in the order of ``labels``."""
+    at: dict[Fraction, list] = {}
+    for label in labels:
+        at.setdefault(pi[label], []).append(label)
+    return tuple((v, tuple(at[v])) for v in sorted(at))
 
 
 def zero_one_possibility(box: PBox) -> PossibilityDistribution:

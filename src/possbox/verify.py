@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Iterator, Sequence
 
-from possbox.chain import Chain
+from possbox.chain import Chain, class_subsets
 from possbox.maxitive import (
     is_maxitive,
     upper_01_both,
@@ -109,11 +109,6 @@ def iter_chain_pboxes(chain: Chain, grid_den: int) -> Iterator[PBox]:
                 yield PBox(chain, lower, upper)
 
 
-def class_subsets(m: int) -> list[tuple[int, ...]]:
-    """All subsets of class indices, in bitmask order (empty set first)."""
-    return [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
-
-
 def pbox_document(box: PBox) -> dict:
     """Replayable JSON form of a probability box."""
     return {
@@ -197,6 +192,8 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
             forms.append(("upper_01_upper", upper_01_upper))
         if profile.lower_is_01 and profile.upper_is_01:
             forms.append(("upper_01_both", upper_01_both))
+        if not forms:
+            continue
         for subset in subsets:
             general = box.upper_of_classes(subset)
             event = _event_labels(subset)

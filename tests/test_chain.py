@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from possbox import SENTINEL, Chain, IntervalUnion
+from possbox import SENTINEL, Chain, IntervalUnion, verify
+from possbox.chain import class_subsets
 
 
 def test_chain_basic_queries(chain3):
@@ -95,7 +96,26 @@ def test_interval_union_from_class_indices():
     union = IntervalUnion.from_class_indices(5, [0, 1, 3])
     assert union.runs == ((SENTINEL, 1), (2, 3))
     assert list(union.class_indices()) == [0, 1, 3]
+    assert IntervalUnion.from_class_indices(5, [3, 1, 0, 1]) == union
+    assert IntervalUnion.from_class_indices(5, range(5)).runs == ((SENTINEL, 4),)
+    assert IntervalUnion.from_class_indices(5, [4, 2, 0]).runs == ((SENTINEL, 0), (1, 2), (3, 4))
     assert IntervalUnion.from_class_indices(5, []).is_empty
+
+
+@pytest.mark.parametrize("indices, named", [([7, 5], 5), ([2, 6, -3], -3), ([-1, 9], -1)])
+def test_from_class_indices_names_the_lowest_index_out_of_range(indices, named):
+    with pytest.raises(ValueError, match=rf"^class index {named} out of range for m=4$"):
+        IntervalUnion.from_class_indices(4, indices)
+
+
+def test_class_subsets_come_in_bitmask_order():
+    # exhaustive_max_preserving reads unions at ``a | b`` and suite_conjunction
+    # pairs each subset with its complement through ``reversed``.
+    assert class_subsets(0) == [()]
+    assert class_subsets(1) == [(), (0,)]
+    assert class_subsets(2) == [(), (0,), (1,), (0, 1)]
+    assert class_subsets(3) == [(), (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+    assert verify.class_subsets is class_subsets
 
 
 def test_chain_equality_and_hash():

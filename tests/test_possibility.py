@@ -18,6 +18,7 @@ from possbox import (
     possibility_to_pbox,
     zero_one_possibility,
 )
+from possbox.possibility import value_levels
 from possbox.verify import iter_grid_pboxes
 
 
@@ -110,6 +111,16 @@ def test_possibility_to_pbox_groups_equal_levels():
     chain, box = possibility_to_pbox(pi)
     assert chain.classes == (frozenset({"a", "b"}), frozenset({"c"}))
     assert box.upper_cdf == (Fraction(1, 2), 1)
+
+
+def test_value_levels_sort_values_and_keep_the_given_label_order():
+    pi = PossibilityDistribution({"c": "1/2", "a": "1", "b": "1/2", "d": "0"})
+    half = Fraction(1, 2)
+    assert value_levels(pi, ["b", "a", "c", "d"]) == ((0, ("d",)), (half, ("b", "c")), (1, ("a",)))
+    assert value_levels(pi, pi) == ((0, ("d",)), (half, ("c", "b")), (1, ("a",)))
+    chain, box = possibility_to_pbox(pi)
+    assert chain.classes == tuple(frozenset(labels) for _, labels in value_levels(pi, pi))
+    assert box.upper_cdf == (0, half, 1)
 
 
 def test_possibility_round_trip_examples():
