@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Reads a JSON model document (``--input`` or stdin) holding any of:
+Every command but ``verify`` reads a JSON model document (``--input`` or
+stdin) holding any of:
 
 * ``classes`` + ``lower`` + ``upper`` -- a probability box on a chain,
 * ``pi`` -- a possibility distribution,
@@ -9,6 +10,12 @@ Reads a JSON model document (``--input`` or stdin) holding any of:
 All numbers are exact strings ("1/2", "0.8", "1").  Output is plain text, or
 compact JSON with ``--json``; identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage/input error.
+
+Each command is a function of its model and the parsed arguments that
+returns the JSON payload and the text of its answer; it is registered once,
+with the reader that builds its model from the document (none for
+``verify``).  :func:`main` is the one path from argv to answer: it loads the
+document, calls the reader and the command, prints, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import NoReturn, Sequence
 from possbox.chain import Chain
 from possbox.maxitive import is_maxitive
 from possbox.multivariate import JOINTS, MarginalFamily
+from possbox.oracle import MAX_CLASSES, MAX_ELEMENTS
 from possbox.pbox import PBox
 from possbox.possibility import (
     PossibilityDistribution,
@@ -153,8 +161,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _validate(doc: dict, args: argparse.Namespace) -> tuple[dict, str]:
     present = []
     if "classes" in doc:
         if "lower" in doc or "upper" in doc:
@@ -169,47 +176,37 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if "marginals" in doc:
         _document_marginals(doc)
         present.append("marginals")
-    _emit(args, {"valid": True, "models": present}, "valid: " + ", ".join(present))
-    return 0
+    return {"valid": True, "models": present}, "valid: " + ", ".join(present)
 
 
-def _cmd_upper(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
-    event = _event_from_args(args, box.chain)
-    value = box.upper(event)
-    _emit(args, {"upper": str(value)}, f"upper = {value}")
-    return 0
+def _bound(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
+    """``upper`` or ``lower``, by the command's name."""
+    value = getattr(box, args.command)(_event_from_args(args, box.chain))
+    return {args.command: str(value)}, f"{args.command} = {value}"
 
 
-def _cmd_lower(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
-    event = _event_from_args(args, box.chain)
-    value = box.lower(event)
-    _emit(args, {"lower": str(value)}, f"lower = {value}")
-    return 0
-
-
-def _cmd_is_maxitive(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
+def _is_maxitive(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     answer = is_maxitive(box)
-    _emit(args, {"maxitive": answer}, f"maxitive: {'yes' if answer else 'no'}")
-    return 0
+    return {"maxitive": answer}, f"maxitive: {'yes' if answer else 'no'}"
 
 
-def _cmd_to_possibility(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
+def _shown_values(pi: PossibilityDistribution) -> dict[str, str]:
+    return {label: str(value) for label, value in pi.items()}
+
+
+def _pairs(values: dict[str, str]) -> str:
+    return ", ".join(f"{label}={value}" for label, value in values.items())
+
+
+def _to_possibility(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     pi = pbox_to_possibility(box)
     if pi is None:
-        _emit(args, {"pi": None}, "not a possibility measure")
-        return 0
-    ordered = {label: str(value) for label, value in pi.items()}
-    text = "pi: " + ", ".join(f"{label}={value}" for label, value in ordered.items())
-    _emit(args, {"pi": ordered}, text)
-    return 0
+        return {"pi": None}, "not a possibility measure"
+    values = _shown_values(pi)
+    return {"pi": values}, "pi: " + _pairs(values)
 
 
-def _cmd_from_possibility(args: argparse.Namespace) -> int:
-    pi = _document_pi(_load_document(args))
+def _from_possibility(pi: PossibilityDistribution, args: argparse.Namespace) -> tuple[dict, str]:
     chain, box = possibility_to_pbox(pi)
     payload = pbox_document(box)
     lines = [
@@ -217,46 +214,28 @@ def _cmd_from_possibility(args: argparse.Namespace) -> int:
         "lower:   " + " ".join(payload["lower"]),
         "upper:   " + " ".join(payload["upper"]),
     ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
-    pi_lower, pi_upper = conjunction_decompose(box)
-    payload = {
-        "pi1": {label: str(value) for label, value in pi_lower.items()},
-        "pi2": {label: str(value) for label, value in pi_upper.items()},
-    }
-    text = "\n".join(
-        name + ": " + ", ".join(f"{label}={value}" for label, value in part.items())
-        for name, part in payload.items()
-    )
-    _emit(args, payload, text)
-    return 0
+def _decompose(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
+    pi1, pi2 = conjunction_decompose(box)
+    payload = {"pi1": _shown_values(pi1), "pi2": _shown_values(pi2)}
+    return payload, "\n".join(f"{name}: {_pairs(values)}" for name, values in payload.items())
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    box = _document_pbox(_load_document(args))
+def _bounds(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     event = _event_from_args(args, box.chain)
     approx_lo, approx_up = conjunction_bounds(box, event)
-    exact_lo, exact_up = box.lower(event), box.upper(event)
     payload = {
         "approx_lower": str(approx_lo),
-        "lower": str(exact_lo),
-        "upper": str(exact_up),
+        "lower": str(box.lower(event)),
+        "upper": str(box.upper(event)),
         "approx_upper": str(approx_up),
     }
-    text = (
-        f"approx_lower = {payload['approx_lower']}; lower = {payload['lower']}; "
-        f"upper = {payload['upper']}; approx_upper = {payload['approx_upper']}"
-    )
-    _emit(args, payload, text)
-    return 0
+    return payload, "; ".join(f"{name} = {value}" for name, value in payload.items())
 
 
-def _cmd_joint(args: argparse.Namespace) -> int:
-    family = _document_marginals(_load_document(args))
+def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]:
     for k, domain in enumerate(family.domains):
         for label in domain:
             if "|" in label:
@@ -264,32 +243,24 @@ def _cmd_joint(args: argparse.Namespace) -> int:
                     f"marginal {k} label {shown(repr(label))} contains '|', the separator of point keys"
                 )
     joint = JOINTS[args.rule](family)
-    ordered = {"|".join(point): str(joint[point]) for point in family.points()}
-    text = "\n".join(f"{key} = {value}" for key, value in ordered.items())
-    _emit(args, {"rule": args.rule, "pi": ordered}, text)
-    return 0
+    values = {"|".join(point): str(joint[point]) for point in family.points()}
+    return {"rule": args.rule, "pi": values}, "\n".join(f"{key} = {value}" for key, value in values.items())
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _verify(_: None, args: argparse.Namespace) -> tuple[dict, str]:
     for flag, value in (("--max-classes", args.max_classes), ("--grid", args.grid)):
         if value is not None and value < 1:
             raise CliError(f"{flag} must be at least 1 (got {value})")
-    report = run_suite(args.suite, args.max_classes, args.grid)
-    payload = {
-        "suite": report.suite,
-        "cases": report.cases,
-        "checks": report.checks,
-        "ok": report.ok,
-    }
+    try:
+        report = run_suite(args.suite, args.max_classes, args.grid)
+    except ValueError as exc:  # a size past the ceiling of the suite's oracle
+        raise CliError(str(exc)) from exc
+    payload = {"suite": report.suite, "cases": report.cases, "checks": report.checks, "ok": report.ok}
+    text = report.summary()
     if report.counterexample is not None:
         payload["counterexample"] = report.counterexample
-        text = report.summary() + "\ncounterexample: " + json.dumps(
-            report.counterexample, separators=(",", ":")
-        )
-    else:
-        text = report.summary()
-    _emit(args, payload, text)
-    return 0 if report.ok else 1
+        text += "\ncounterexample: " + json.dumps(report.counterexample, separators=(",", ":"))
+    return payload, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,36 +270,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, *, event: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, read, answer, help_text: str, *, event: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", default=None, help="model document path (default: stdin)")
+        if read is not None:
+            p.add_argument("--input", default=None, help="model document path (default: stdin)")
         p.add_argument("--json", action="store_true", help="emit compact JSON")
         if event:
             p.add_argument("--event", default=None, help="comma-separated labels")
             p.add_argument("--complement", action="store_true", help="use the event's complement")
-        p.set_defaults(func=func)
+        p.set_defaults(read=read, answer=answer)
         return p
 
-    add("validate", _cmd_validate, "check a model document")
-    add("upper", _cmd_upper, "natural-extension upper probability of an event", event=True)
-    add("lower", _cmd_lower, "natural-extension lower probability of an event", event=True)
-    add("is-maxitive", _cmd_is_maxitive, "is the box's upper probability maxitive?")
-    add("to-possibility", _cmd_to_possibility, "possibility distribution of a maxitive box")
-    add("from-possibility", _cmd_from_possibility, "probability box encoding a distribution")
-    add("decompose", _cmd_decompose, "split a box into two possibility distributions")
-    add("bounds", _cmd_bounds, "exact and conjunction-approximate bounds", event=True)
-    joint = add("joint", _cmd_joint, "joint distribution from marginals")
+    add("validate", lambda doc: doc, _validate, "check a model document")
+    add("upper", _document_pbox, _bound, "natural-extension upper probability of an event", event=True)
+    add("lower", _document_pbox, _bound, "natural-extension lower probability of an event", event=True)
+    add("is-maxitive", _document_pbox, _is_maxitive, "is the box's upper probability maxitive?")
+    add("to-possibility", _document_pbox, _to_possibility, "possibility distribution of a maxitive box")
+    add("from-possibility", _document_pi, _from_possibility, "probability box encoding a distribution")
+    add("decompose", _document_pbox, _decompose, "split a box into two possibility distributions")
+    add("bounds", _document_pbox, _bounds, "exact and conjunction-approximate bounds", event=True)
+    joint = add("joint", _document_marginals, _joint, "joint distribution from marginals")
     joint.add_argument("--rule", required=True, choices=JOINTS)
-    verify = add("verify", _cmd_verify, "run a verification suite")
+    verify = add("verify", None, _verify, "run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    # Neither size has a ceiling: an explicit value is the caller's choice.
     verify.add_argument(
         "--max-classes",
         type=int,
         default=None,
         dest="max_classes",
         help="largest chain, sample domain or marginal domain, by suite (default: the suite's own);"
-        " no ceiling, and the work grows exponentially: each box has 2**max_classes events",
+        f" at most {MAX_CLASSES} for maxitive and {MAX_ELEMENTS} for conjunction, the ceilings"
+        " of their exhaustive oracle checks, and none for the others; the work grows"
+        " exponentially: each box has 2**max_classes events",
     )
     verify.add_argument(
         "--grid",
@@ -342,15 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        model = None if args.read is None else args.read(_load_document(args))
+        payload, text = args.answer(model, args)
+        _emit(args, payload, text)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover - downstream closed the pipe
         return 0
+    # Only a suite report carries "ok"; exit 1 is kept for a counterexample.
+    return 1 if payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ Every joint value, and every rectangle's combined bound, depends on a point
 or a rectangle only through its vector of marginal values.  A
 :class:`MarginalFamily` groups each marginal's labels by value once, and
 :meth:`MarginalFamily.vectors` lists each such vector with the product
-points that have it; the joints, :func:`least_conservative_check`,
-:func:`rectangle_values` and the ``multivariate`` verification suite all
-read that one grouping.
+points that have it; the joints, :func:`least_conservative_check` and the
+``multivariate`` verification suite all read that one grouping.
 """
 
 from __future__ import annotations
@@ -163,37 +162,6 @@ def combine_rectangle(
         raise ValueError(f"rectangle has {len(rect)} components, family has {family.n}")
     _check_rule(rule)
     return RULES[rule](m.measure(component) for m, component in zip(family.marginals, rect))
-
-
-def rectangle_values(family: MarginalFamily) -> dict[tuple[Fraction, ...], int]:
-    """Rectangles of non-empty marginal events, counted by measure vector.
-
-    A rectangle ``A_1 x .. x A_n`` enters every rule and every joint here
-    only through its vector ``(Pi_1(A_1), .., Pi_n(A_n))``.  A non-empty
-    event's measure is the largest value over it, so it is one of the
-    marginal's distinct values: a value with ``k`` labels below it and
-    ``j`` labels at it is the measure of ``2**k * (2**j - 1)`` events.
-    Maps each product of distinct values to the number of rectangles with
-    that vector, with the keys in :meth:`MarginalFamily.vectors` order; the
-    counts sum to ``prod_i (2**|domain_i| - 1)``.
-
-    >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
-    >>> pi2 = PossibilityDistribution({"s": 1, "t": 1})
-    >>> rectangle_values(MarginalFamily([pi1, pi2]))
-    {(Fraction(1, 2), Fraction(1, 1)): 3, (Fraction(1, 1), Fraction(1, 1)): 6}
-    """
-    per_marginal = []
-    for levels in family.levels:
-        below = 0
-        events = []
-        for v, labels in levels:
-            events.append((v, (1 << below) * ((1 << len(labels)) - 1)))
-            below += len(labels)
-        per_marginal.append(events)
-    return {
-        tuple(v for v, _ in combo): prod(count for _, count in combo)
-        for combo in product(*per_marginal)
-    }
 
 
 def least_conservative_check(

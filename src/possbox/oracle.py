@@ -40,6 +40,13 @@ ClassUpper = Callable[[PBox, tuple[int, ...]], Fraction]
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
+#: Largest chain :func:`exhaustive_max_preserving` enumerates: ``2**m`` LP
+#: solves, then ``4**m`` pairs of class unions.
+MAX_CLASSES = 10
+#: Largest space :func:`credal_intersection_equal` enumerates: two
+#: phase-2 solves per event, with a row per event and distribution.
+MAX_ELEMENTS = 8
+
 
 class Infeasible(Exception):
     """The linear system has no feasible point."""
@@ -324,9 +331,7 @@ def check_coherence(box: PBox, upper: ClassUpper | None = None) -> bool:
     return True
 
 
-def exhaustive_max_preserving(
-    box: PBox, upper: ClassUpper | None = None, *, max_classes: int = 10
-) -> bool:
+def exhaustive_max_preserving(box: PBox, upper: ClassUpper | None = None) -> bool:
     """Semantic maxitivity check: ``upper(A or B) == max(upper(A), upper(B))``.
 
     Enumerates every pair of class unions (events intersecting the same
@@ -334,11 +339,12 @@ def exhaustive_max_preserving(
     each union indexed by its bitmask over the class indices.
     ``upper`` receives the union as a sorted index tuple and defaults to
     the LP oracle; pass ``lambda box, subset: box.upper_of_classes(subset)``
-    to check the closed-form route instead.
+    to check the closed-form route instead.  Refuses a chain of more than
+    :data:`MAX_CLASSES` classes.
     """
     m = box.m
-    if m > max_classes:
-        raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {max_classes}")
+    if m > MAX_CLASSES:
+        raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {MAX_CLASSES}")
     if upper is None:
         upper = credal_upper_classes
     value = [upper(box, subset) for subset in class_subsets(m)]
@@ -350,8 +356,6 @@ def credal_intersection_equal(
     box: PBox,
     pi_one: PossibilityDistribution,
     pi_two: PossibilityDistribution,
-    *,
-    max_elements: int = 8,
 ) -> bool:
     """Does the box's credal set equal the two distributions' joint credal set?
 
@@ -360,14 +364,15 @@ def credal_intersection_equal(
     possibility measures on the other (all ``2^|domain|`` of them,
     redundant but unambiguous) -- and compares the LP optima on every
     event.  Equality of all upper values is equality of the credal sets.
+    Refuses a space of more than :data:`MAX_ELEMENTS` elements.
     """
     chain = box.chain
     if pi_one.labels != chain.labels or pi_two.labels != chain.labels:
         raise ValueError("distributions must share the box's element set")
     elements = [label for _, label in chain.labels_by_class()]
     n = len(elements)
-    if n > max_elements:
-        raise ValueError(f"space has {n} elements; refusing to enumerate beyond {max_elements}")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"space has {n} elements; refusing to enumerate beyond {MAX_ELEMENTS}")
     poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
     objectives: list[list[Fraction]] = []
     for subset in class_subsets(n)[1:]:

@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Iterator, Sequence
 
+from possbox import oracle
 from possbox.chain import Chain, class_subsets
 from possbox.maxitive import (
     is_maxitive,
@@ -30,7 +31,6 @@ from possbox.multivariate import (
     joint_independent,
     joint_rsi_outer,
     least_conservative_check,
-    rectangle_values,
 )
 from possbox.oracle import (
     check_coherence,
@@ -122,6 +122,12 @@ def _event_labels(subset: tuple[int, ...]) -> list[str]:
     return [f"x{i}" for i in subset]
 
 
+def _within(suite: str, max_classes: int, ceiling: int) -> None:
+    """Refuse, before any sweeping, a chain size past the ceiling of the suite's oracle check."""
+    if max_classes > ceiling:
+        raise ValueError(f"the {suite} suite takes at most {ceiling} classes (got {max_classes})")
+
+
 # ------------------------------------------------------------------ suites
 
 
@@ -175,8 +181,11 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
 
     The 0-1 characterization must agree with the exhaustive LP-backed
     max-preservation check, and each specialized closed form must equal the
-    general one on every event where its precondition holds.
+    general one on every event where its precondition holds.  Refuses
+    more classes than the exhaustive check enumerates
+    (:data:`~possbox.oracle.MAX_CLASSES`).
     """
+    _within("maxitive", max_classes, oracle.MAX_CLASSES)
     report = SuiteReport("maxitive")
     for box, subsets in _grid_boxes(report, max_classes, grid_den):
         decided = is_maxitive(box)
@@ -306,8 +315,11 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
     two decomposed possibility measures' credal sets (checked by LP); the
     approximate bounds must sandwich the exact ones on every event; and on
     every interval ``(x, y]`` the upper slack must equal
-    ``min(lower(x), 1 - upper(y))``.
+    ``min(lower(x), 1 - upper(y))``.  Refuses more classes than the
+    credal identity check enumerates elements
+    (:data:`~possbox.oracle.MAX_ELEMENTS`; each class is one element).
     """
+    _within("conjunction", max_classes, oracle.MAX_ELEMENTS)
     report = SuiteReport("conjunction")
     for box, subsets in _grid_boxes(report, max_classes, grid_den):
         pi_lower, pi_upper = conjunction_decompose(box)
@@ -385,9 +397,11 @@ def suite_multivariate(
 
       - rectangle dominance of the random-set outer bound over independent
         products.  A rectangle of non-empty events has a vector of
-        component measures, and these are the same vectors (see
-        :func:`~possbox.multivariate.rectangle_values`); each vector adds
-        one check per rectangle that has it;
+        component measures, and these are the same vectors: a non-empty
+        event's measure is the largest value over it, so one of its
+        marginal's values, and each value is the measure of some event.
+        The family adds one check per rectangle, ``prod_i
+        (2**|domain_i| - 1)`` in all, before its first vector;
       - at each of the vector's product points, the pointwise form
         ``1 - (1 - w) ** n`` of the random-set outer bound, the ordering of
         the independent joint below the Fréchet joint, and the regime
@@ -419,12 +433,11 @@ def suite_multivariate(
                     detail="independent joint fails its least-conservative check",
                 )
 
-            rectangles = rectangle_values(family)
+            report.checks += prod(2 ** len(domain) - 1 for domain in family.domains)
             for values, points in family.vectors():
                 z = max(values)
                 w = min(values)
                 outer = ONE - (ONE - w) ** n
-                report.checks += rectangles[values]
                 if outer < prod(values):
                     return report.fail(
                         marginals=_marginals_document(family),
@@ -470,7 +483,9 @@ def run_suite(name: str, max_classes: int | None = None, grid_den: int | None = 
     ``max_classes`` bounds the structural size (chain classes, sample domain
     size, or marginal domain size, depending on the suite) and ``grid_den``
     the value grid.  Only the knobs given are passed on, so ``None`` leaves
-    the suite's own default in force; a value below 1 raises ``ValueError``.
+    the suite's own default in force.  A value below 1, or a ``max_classes``
+    past the ceiling of the ``maxitive`` or ``conjunction`` suite, raises
+    ``ValueError`` before any instance is built.
     """
     for knob, value in (("max_classes", max_classes), ("grid_den", grid_den)):
         if value is not None and value < 1:

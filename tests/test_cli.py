@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import possbox
+from possbox import oracle, verify
 from possbox.cli import main
 
 P2_DOC = {
@@ -209,6 +210,22 @@ def test_verify_rejects_sizes_below_one(capsys, flag, value):
     assert err == f"error: {flag} must be at least 1 (got {value})\n"
 
 
+@pytest.mark.parametrize("suite, ceiling", [("maxitive", "MAX_CLASSES"), ("conjunction", "MAX_ELEMENTS")])
+def test_verify_refuses_sizes_past_the_oracle_ceiling_up_front(capsys, monkeypatch, suite, ceiling):
+    # A lowered ceiling keeps the run at the ceiling short.
+    monkeypatch.setattr(oracle, ceiling, 2)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-classes", "2", "--grid", "2")
+    assert code == 0 and f"suite {suite}: ok" in out
+
+    def no_sweep(*args):
+        raise AssertionError("the suite started sweeping")
+
+    monkeypatch.setattr(verify, "_grid_boxes", no_sweep)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-classes", "3", "--grid", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: the {suite} suite takes at most 2 classes (got 3)\n"
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P1_DOC)))
     code, out, _ = run(capsys, "upper", "--event", "a", "--json")
@@ -290,6 +307,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["joint"], "error: the following arguments are required: --rule"),
         ([], "error: the following arguments are required: command"),
         (["upper", "--bo\ngus"], "error: unrecognized arguments: --bo gus\n"),
+        (["verify", "--suite", "oracle", "--input", "x"], "error: unrecognized arguments: --input x\n"),
     ],
     ids=[
         "unknown-flag",
@@ -298,6 +316,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         "joint-without-rule",
         "no-command",
         "newline-in-flag",
+        "verify-reads-no-document",
     ],
 )
 def test_argv_errors_print_one_line(capsys, argv, line):

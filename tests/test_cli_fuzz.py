@@ -97,7 +97,7 @@ non_models = {
 }
 
 EVENT_COMMANDS = ("upper", "lower", "bounds")
-#: The model each command reads; ``validate`` and ``verify`` take any document.
+#: The model each command reads; ``validate`` takes any document, ``verify`` reads none.
 MODEL_OF = {
     **dict.fromkeys(EVENT_COMMANDS + ("is-maxitive", "to-possibility", "decompose"), boxes()),
     "from-possibility": pis,

@@ -6,6 +6,7 @@ import pytest
 
 from possbox import (
     Chain,
+    PBox,
     PossibilityDistribution,
     check_coherence,
     conjunction_decompose,
@@ -16,7 +17,7 @@ from possbox import (
 )
 from possbox import oracle
 from possbox.oracle import Infeasible, simplex_max
-from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
+from possbox.verify import default_chain, iter_chain_pboxes, iter_grid_pboxes
 
 
 def test_simplex_small_known_optima():
@@ -252,9 +253,22 @@ def test_exhaustive_max_preserving(p1, p2):
     assert not exhaustive_max_preserving(p2, formula)
 
 
-def test_exhaustive_max_preserving_guard(p1):
-    with pytest.raises(ValueError):
-        exhaustive_max_preserving(p1, max_classes=2)
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Fail any test that poses a linear program from now on."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was posed")
+
+    monkeypatch.setattr(oracle, "Region", refuse)
+    monkeypatch.setattr(oracle, "simplex_max", refuse)
+
+
+def test_exhaustive_max_preserving_guard(no_lp):
+    m = oracle.MAX_CLASSES + 1
+    box = PBox(default_chain(m), [0] * (m - 1) + [1], [1] * m)
+    with pytest.raises(ValueError, match=f"chain has {m} classes; refusing to enumerate beyond {m - 1}"):
+        exhaustive_max_preserving(box)
 
 
 def test_intersection_holds_for_decomposition(p1, p2, q):
@@ -271,10 +285,13 @@ def test_intersection_fails_with_vacuous_component(p1):
     assert not credal_intersection_equal(p1, pi_one, vacuous)
 
 
-def test_intersection_guards(p1):
+def test_intersection_guards(p1, no_lp):
     good = PossibilityDistribution({x: 1 for x in "abc"})
     bad = PossibilityDistribution({"a": 1, "b": 1})
     with pytest.raises(ValueError):
         credal_intersection_equal(p1, good, bad)
-    with pytest.raises(ValueError):
-        credal_intersection_equal(p1, good, good, max_elements=2)
+    n = oracle.MAX_ELEMENTS + 1
+    box = PBox(default_chain(n), [0] * (n - 1) + [1], [1] * n)
+    pi_one, pi_two = conjunction_decompose(box)
+    with pytest.raises(ValueError, match=f"space has {n} elements; refusing to enumerate beyond {n - 1}"):
+        credal_intersection_equal(box, pi_one, pi_two)

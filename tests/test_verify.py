@@ -4,9 +4,9 @@ from math import prod
 
 import pytest
 
-from possbox import PossibilityDistribution, multivariate, verify
+from possbox import PossibilityDistribution, verify
 from possbox.cli import main
-from possbox.multivariate import joint_frechet, joint_independent, rectangle_values
+from possbox.multivariate import joint_frechet, joint_independent
 from possbox.possibility import conjunction_bounds, pbox_to_possibility, possibility_to_pbox
 from possbox.verify import (
     SUITES,
@@ -197,20 +197,6 @@ def test_a_wrong_conjunction_bound_fails_with_a_replayable_counterexample(monkey
     assert replayed["approx_lower"] == approx_lo
     assert Fraction(replayed["approx_upper"]) - Fraction(1, 128) == Fraction(approx_up)
     assert Fraction(approx_up) < Fraction(replayed["upper"])
-
-
-def test_the_multivariate_suite_builds_each_rectangle_table_once(monkeypatch):
-    built = []
-
-    def counted(family):
-        built.append(family)
-        return rectangle_values(family)
-
-    monkeypatch.setattr(multivariate, "rectangle_values", counted)
-    monkeypatch.setattr(verify, "rectangle_values", counted)
-    report = suite_multivariate(max_size=2, grid_den=2)
-    assert report.ok
-    assert len(built) == report.cases == len({id(family) for family in built})
 
 
 def run_multivariate(capsys):
