@@ -135,7 +135,7 @@ class Chain:
         >>> chain.minimal_cover([]).is_empty
         True
         """
-        return IntervalUnion.from_class_indices(self.m, self.classes_hit(labels))
+        return IntervalUnion._from_sorted_indices(self.m, self.classes_hit(labels))
 
     # ----------------------------------------------------------- protocol
 
@@ -201,12 +201,21 @@ class IntervalUnion:
         if seen and not (0 <= seen[0] and seen[-1] < m):
             bad = next(i for i in seen if not 0 <= i < m)
             raise ValueError(f"class index {bad} out of range for m={m}")
+        return cls._from_sorted_indices(m, seen)
+
+    @classmethod
+    def _from_sorted_indices(cls, m: int, indices: Iterable[int]) -> "IntervalUnion":
+        """:meth:`from_class_indices` for ascending, distinct, in-range indices."""
         runs: list[tuple[int, int]] = []
-        for i in seen:
-            if runs and runs[-1][1] == i - 1:
-                runs[-1] = (runs[-1][0], i)
-            else:
-                runs.append((i - 1, i))
+        start = prev = None
+        for i in indices:
+            if i - 1 != prev:
+                if start is not None:
+                    runs.append((start - 1, prev))
+                start = i
+            prev = i
+        if start is not None:
+            runs.append((start - 1, prev))
         return cls(m, tuple(runs))
 
 

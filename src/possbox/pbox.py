@@ -9,11 +9,19 @@ computes that value in closed form via minimal covers by class runs.  The
 companion :mod:`possbox.oracle` recovers the same numbers by direct
 optimization over the credal set, so every formula here is cross-checkable
 against an independent route.
+
+As in the oracle's tableau, the arithmetic runs on integers: a box keeps
+each bound's numerator over the one common denominator of all ``2m``
+values, checks itself and sums forced mass on those numerators, and makes
+a :class:`~fractions.Fraction` only for the value it returns.  The public
+vectors ``lower_cdf`` and ``upper_cdf`` stay ``Fraction`` tuples; the
+oracle reads those, never the numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from possbox.chain import SENTINEL, Chain, IntervalUnion, Label
@@ -36,7 +44,7 @@ class PBox:
     Fraction(1, 5)
     """
 
-    __slots__ = ("chain", "lower_cdf", "upper_cdf")
+    __slots__ = ("chain", "lower_cdf", "upper_cdf", "_den", "_lower_num", "_upper_num")
 
     def __init__(
         self,
@@ -52,21 +60,29 @@ class PBox:
                 f"cumulative vectors must have one entry per class (expected {m}, "
                 f"got {len(lo)} lower / {len(up)} upper)"
             )
-        for name, vec in (("lower", lo), ("upper", up)):
-            for i, v in enumerate(vec):
-                if not (ZERO <= v <= ONE):
-                    raise ValueError(f"{name}[{i}] = {shown(v)} outside [0, 1]")
+        # Numerators over one common denominator; the trailing 0 is the
+        # sentinel's value, read at index -1.
+        den = lcm(*(v.denominator for v in lo), *(v.denominator for v in up))
+        lo_num = (*(v.numerator * (den // v.denominator) for v in lo), 0)
+        up_num = (*(v.numerator * (den // v.denominator) for v in up), 0)
+        for name, vec, num in (("lower", lo, lo_num), ("upper", up, up_num)):
+            for i in range(m):
+                if not (0 <= num[i] <= den):
+                    raise ValueError(f"{name}[{i}] = {shown(vec[i])} outside [0, 1]")
             for i in range(1, m):
-                if vec[i] < vec[i - 1]:
+                if num[i] < num[i - 1]:
                     raise ValueError(f"{name} cumulative vector must be non-decreasing")
         for i in range(m):
-            if lo[i] > up[i]:
+            if lo_num[i] > up_num[i]:
                 raise ValueError(f"lower[{i}] = {shown(lo[i])} exceeds upper[{i}] = {shown(up[i])}")
-        if lo[m - 1] != ONE or up[m - 1] != ONE:
+        if lo_num[m - 1] != den or up_num[m - 1] != den:
             raise ValueError("both cumulative vectors must equal 1 at the top class")
         self.chain = chain
         self.lower_cdf = lo
         self.upper_cdf = up
+        self._den = den
+        self._lower_num = lo_num
+        self._upper_num = up_num
 
     # ------------------------------------------------------------ basics
 
@@ -116,14 +132,15 @@ class PBox:
         """
         if union.m != self.m:
             raise ValueError("interval union built for a different chain size")
-        forced = ZERO
+        lo, up = self._lower_num, self._upper_num
+        forced = 0
         prev_right = SENTINEL
         for left, right in (*union.runs, (self.m - 1, None)):
-            gap = self.lower_at(left) - self.upper_at(prev_right)
+            gap = lo[left] - up[prev_right]
             if gap > 0:
                 forced += gap
             prev_right = right
-        return ONE - forced
+        return Fraction(self._den - forced, self._den)
 
     def upper(self, event: Iterable[Label]) -> Fraction:
         """Natural-extension upper probability of an arbitrary event.

@@ -29,9 +29,11 @@ ONE = Fraction(1)
 #: bound a positive exponent puts any nonzero value above 1, outside every probability.
 MAX_DIGITS = 1000
 
-#: The number syntax of a string; group ``exponent`` holds the decimal exponent's digits.
+#: The number syntax of a string.  Groups ``numerator`` and ``denominator`` hold the
+#: two sides of a ``p/q`` form; ``exponent`` holds a decimal exponent's digits.
 _NUMBER = re.compile(
-    r"\s*[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?(?P<exponent>[0-9]+))?)\s*"
+    r"\s*(?:(?P<numerator>[+-]?[0-9]+)/(?P<denominator>[0-9]+)"
+    r"|[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?(?P<exponent>[0-9]+))?)\s*"
 )
 
 
@@ -63,6 +65,11 @@ def exact(value: object) -> Fraction:
             raise ValueError(f"not an exact rational: {shown(repr(value))}")
         if too_long or int(number["exponent"] or 0) > MAX_DIGITS:
             raise ValueError(f"refusing {shown(repr(value))}: length or exponent over {MAX_DIGITS}")
+        if number["denominator"] is not None:
+            denominator = int(number["denominator"])
+            if not denominator:
+                raise ValueError(f"not an exact rational: {shown(repr(value))}")
+            return Fraction(int(number["numerator"]), denominator)
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (ValueError, TypeError, ZeroDivisionError) as exc:

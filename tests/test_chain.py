@@ -102,6 +102,17 @@ def test_interval_union_from_class_indices():
     assert IntervalUnion.from_class_indices(5, []).is_empty
 
 
+def test_minimal_cover_runs_equal_from_class_indices_on_every_event():
+    chain = Chain([["a"], ["b", "b2"], ["c"], ["d"], ["e", "e2"]])
+    labels = sorted(chain.labels)
+    for mask in range(1 << len(labels)):
+        event = [label for k, label in enumerate(labels) if mask >> k & 1]
+        hit = chain.classes_hit(event)
+        cover = chain.minimal_cover(event)
+        assert cover == IntervalUnion.from_class_indices(chain.m, reversed(hit))
+        assert tuple(cover.class_indices()) == hit
+
+
 @pytest.mark.parametrize("indices, named", [([7, 5], 5), ([2, 6, -3], -3), ([-1, 9], -1)])
 def test_from_class_indices_names_the_lowest_index_out_of_range(indices, named):
     with pytest.raises(ValueError, match=rf"^class index {named} out of range for m=4$"):

@@ -205,6 +205,25 @@ def test_credal_matches_formula_on_fixtures(p1, p2, q, r, precise):
                 assert credal_lower(box, event) == box.lower(event)
 
 
+def test_the_oracle_reads_only_the_public_vectors(p2):
+    # PBox computes on private integer numerators.  The oracle must answer
+    # from lower_cdf/upper_cdf alone to stay an independent route: here every
+    # private slot is deleted and its region built afresh.
+    labels = sorted(p2.chain.labels)
+    events = [frozenset(combo) for k in range(len(labels) + 1) for combo in combinations(labels, k)]
+    stripped = PBox(p2.chain, p2.lower_cdf, p2.upper_cdf)
+    for slot in PBox.__slots__:
+        if slot.startswith("_"):
+            delattr(stripped, slot)
+    with pytest.raises(AttributeError):
+        stripped.upper({"a"})
+    oracle._box_region.cache_clear()
+    for event in events:
+        assert credal_upper(stripped, event) == p2.upper(event)
+        assert credal_lower(stripped, event) == p2.lower(event)
+    assert oracle.credal_upper_classes(stripped, (0, 2)) == p2.upper({"a", "c"})
+
+
 def test_adding_constraints_never_raises_optimum(p2):
     # Shrinking the feasible set can only lower a maximum.
     rows = list(oracle._box_region(p2).constraints)

@@ -20,6 +20,34 @@ def test_constructor_rejects_bad_vectors(chain3):
         PBox(chain3, ["0", "0", "1"], ["1/2", "4/5", "2"])  # out of range
 
 
+#: ``(lower, upper, the exact error line)`` on the chain a < b < c.  The
+#: checks run in one order: lengths, then range and monotonicity of lower,
+#: then of upper, then lower <= upper index by index, then the top class.
+BAD_BOXES = (
+    (["0", "1"], ["1/2", "4/5", "1"], "cumulative vectors must have one entry per class (expected 3, got 2 lower / 3 upper)"),
+    (["0", "0", "1"], ["1", "1", "1", "1"], "cumulative vectors must have one entry per class (expected 3, got 3 lower / 4 upper)"),
+    (["0", "-1/2", "1"], ["1/2", "2", "1"], "lower[1] = -1/2 outside [0, 1]"),
+    (["0", "0.25", "1.5"], ["-0.1", "4/5", "1"], "lower[2] = 3/2 outside [0, 1]"),
+    (["0", "0", "1"], ["1/2", "1.0e1", "1"], "upper[1] = 10 outside [0, 1]"),
+    (["0", "0", "1"], ["1/2", "21/20", "1"], "upper[1] = 21/20 outside [0, 1]"),
+    (["0", "0", "1"], ["1/2", "1e400", "1"], "upper[1] = 1" + "0" * 39 + "... (401 characters) outside [0, 1]"),
+    (["1/2", "1/3", "1"], ["1/2", "4/5", "7/5"], "lower cumulative vector must be non-decreasing"),
+    (["0", "0", "1"], ["1/2", "2/5", "1"], "upper cumulative vector must be non-decreasing"),
+    (["0", "1/4", "1"], ["0.5", "0.25", "1"], "upper cumulative vector must be non-decreasing"),
+    (["1/2", "0.9", "1"], ["1/3", "4/5", "1"], "lower[0] = 1/2 exceeds upper[0] = 1/3"),
+    (["0", "0.9", "1"], ["2/7", "4/5", "1"], "lower[1] = 9/10 exceeds upper[1] = 4/5"),
+    (["0", "0", "4/5"], ["1/2", "4/5", "1"], "both cumulative vectors must equal 1 at the top class"),
+    (["0", "0", "0.99"], ["1/2", "4/5", "0.99"], "both cumulative vectors must equal 1 at the top class"),
+)
+
+
+@pytest.mark.parametrize("lower, upper, message", BAD_BOXES)
+def test_constructor_error_lines(chain3, lower, upper, message):
+    with pytest.raises(ValueError) as raised:
+        PBox(chain3, lower, upper)
+    assert str(raised.value) == message
+
+
 def test_constructor_rejects_floats(chain3):
     with pytest.raises(ValueError):
         PBox(chain3, [0.0, 0.0, 1.0], ["1/2", "4/5", "1"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,11 @@ NUMBER_SYNTAX = (
     ("-1/2", Fraction(-1, 2)),
     ("+3/4", Fraction(3, 4)),
     ("0/5", Fraction(0)),
+    ("00/1", Fraction(0)),
+    ("-0/3", Fraction(0)),
+    ("+0/1", Fraction(0)),
+    (" -3/4 ", Fraction(-3, 4)),
+    ("6/8", Fraction(3, 4)),
     ("0.25", Fraction(1, 4)),
     ("2.", Fraction(2)),
     (".5", Fraction(1, 2)),
@@ -56,6 +62,8 @@ NUMBER_SYNTAX = (
     ("inf", NOT_A_RATIONAL),
     ("nan", NOT_A_RATIONAL),
     ("1/0", NOT_A_RATIONAL),
+    ("1/00", NOT_A_RATIONAL),
+    ("0/0", NOT_A_RATIONAL),
     (f"1e{MAX_DIGITS + 1}", TOO_LONG),
     (f"1e-{MAX_DIGITS + 1}", TOO_LONG),
     (f" 1E+0{MAX_DIGITS + 1} ", TOO_LONG),
@@ -77,3 +85,18 @@ def read(text):
 @pytest.mark.parametrize("text, expected", NUMBER_SYNTAX, ids=[repr(text)[:24] for text, _ in NUMBER_SYNTAX])
 def test_exact_reads_one_number_syntax(text, expected):
     assert read(text) == expected
+
+
+def test_exact_reads_one_number_syntax_in_lowest_terms():
+    for text, expected in NUMBER_SYNTAX:
+        value = read(text)
+        if isinstance(expected, Fraction):
+            assert type(value) is Fraction, text
+            assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1, text
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/00", " -3/000 "])
+def test_a_zero_denominator_is_not_an_exact_rational(text):
+    with pytest.raises(ValueError) as raised:
+        exact(text)
+    assert str(raised.value) == f"not an exact rational: {text!r}"
