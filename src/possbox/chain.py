@@ -132,8 +132,8 @@ class Chain:
         >>> chain = Chain([["a"], ["b"], ["c"]])
         >>> chain.minimal_cover({"a", "c"}).runs
         ((-1, 0), (1, 2))
-        >>> chain.minimal_cover([]).is_empty
-        True
+        >>> chain.minimal_cover([]).runs
+        ()
         """
         return IntervalUnion._from_sorted_indices(self.m, self.classes_hit(labels))
 
@@ -173,10 +173,6 @@ class IntervalUnion:
             if prev_right is not None and left <= prev_right:
                 raise ValueError("runs must be sorted and separated by at least one class")
             prev_right = right
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.runs
 
     def class_indices(self) -> Iterator[int]:
         """Covered class indices, ascending."""

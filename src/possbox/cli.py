@@ -39,7 +39,7 @@ from possbox.possibility import (
     possibility_to_pbox,
 )
 from possbox.rationals import shown
-from possbox.verify import SUITES, pbox_document, run_suite
+from possbox.verify import SUITES, pbox_document, pi_document, run_suite
 
 
 class CliError(Exception):
@@ -140,7 +140,7 @@ def _event_from_args(args: argparse.Namespace, chain: Chain) -> frozenset[str]:
         event = chain.event(labels)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if getattr(args, "complement", False):
+    if args.complement:
         event = chain.complement(event)
     return event
 
@@ -190,10 +190,6 @@ def _is_maxitive(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     return {"maxitive": answer}, f"maxitive: {'yes' if answer else 'no'}"
 
 
-def _shown_values(pi: PossibilityDistribution) -> dict[str, str]:
-    return {label: str(value) for label, value in pi.items()}
-
-
 def _pairs(values: dict[str, str]) -> str:
     return ", ".join(f"{label}={value}" for label, value in values.items())
 
@@ -202,15 +198,15 @@ def _to_possibility(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     pi = pbox_to_possibility(box)
     if pi is None:
         return {"pi": None}, "not a possibility measure"
-    values = _shown_values(pi)
+    values = pi_document(pi)
     return {"pi": values}, "pi: " + _pairs(values)
 
 
 def _from_possibility(pi: PossibilityDistribution, args: argparse.Namespace) -> tuple[dict, str]:
-    chain, box = possibility_to_pbox(pi)
+    _, box = possibility_to_pbox(pi)
     payload = pbox_document(box)
     lines = [
-        "classes: " + " < ".join("{" + ", ".join(sorted(cls)) + "}" for cls in chain.classes),
+        "classes: " + " < ".join("{" + ", ".join(cls) + "}" for cls in payload["classes"]),
         "lower:   " + " ".join(payload["lower"]),
         "upper:   " + " ".join(payload["upper"]),
     ]
@@ -219,7 +215,7 @@ def _from_possibility(pi: PossibilityDistribution, args: argparse.Namespace) -> 
 
 def _decompose(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
     pi1, pi2 = conjunction_decompose(box)
-    payload = {"pi1": _shown_values(pi1), "pi2": _shown_values(pi2)}
+    payload = {"pi1": pi_document(pi1), "pi2": pi_document(pi2)}
     return payload, "\n".join(f"{name}: {_pairs(values)}" for name, values in payload.items())
 
 

@@ -25,52 +25,45 @@ from possbox.rationals import ONE, ZERO
 
 @dataclass(frozen=True)
 class ZeroOneProfile:
-    """Where the cumulative vectors of a probability box sit at 0 or 1.
+    """Where the cumulative vectors of a probability box leave 0, and whether they are 0-1.
 
-    ``lower_zero_end`` is the largest class index where the lower cumulative
-    vector is still 0 (``-1`` when it is positive from class 0 on); the
-    zero prefix always includes the sentinel position below the chain.
-    ``upper_zero_end`` plays the same role for the upper vector.  Because
-    lower never exceeds upper, ``upper_zero_end <= lower_zero_end``.
+    ``first_lower_positive`` is the index of the first class where the lower
+    cumulative vector is positive; a 0-1 lower vector reaches 1 there.
+    ``first_upper_positive`` is the first class where the upper vector
+    leaves 0.  Both vectors reach 1 at the top class, so both indices are
+    classes of the chain, and because lower never exceeds upper,
+    ``first_upper_positive <= first_lower_positive``.
     """
 
-    lower_zero_end: int
-    upper_zero_end: int
+    first_lower_positive: int
+    first_upper_positive: int
     lower_is_01: bool
     upper_is_01: bool
 
-    @property
-    def first_lower_positive(self) -> int:
-        """Index of the first class where the lower cumulative vector is positive."""
-        return self.lower_zero_end + 1
-
-    @property
-    def first_upper_positive(self) -> int:
-        """Index of the first class where the upper cumulative vector is positive."""
-        return self.upper_zero_end + 1
-
 
 def zero_one_profile(box: PBox) -> ZeroOneProfile:
-    """Compute the zero prefixes and 0-1 flags of a probability box.
+    """Find the first positive class and the 0-1 flag of each cumulative vector.
 
     >>> from possbox.chain import Chain
     >>> box = PBox(Chain([["a"], ["b"], ["c"]]), ["0", "0", "1"], ["0", "1", "1"])
     >>> prof = zero_one_profile(box)
-    >>> (prof.lower_zero_end, prof.upper_zero_end, prof.lower_is_01, prof.upper_is_01)
-    (1, 0, True, True)
+    >>> (prof.first_lower_positive, prof.first_upper_positive, prof.lower_is_01, prof.upper_is_01)
+    (2, 1, True, True)
     """
-    # Both vectors are non-decreasing and end at 1: each zero prefix ends
-    # before the top class, and a vector is 0-1 exactly when it is 1 right
-    # after its zero prefix.
-    lower_zero_end = bisect_right(box.lower_cdf, ZERO) - 1
-    upper_zero_end = bisect_right(box.upper_cdf, ZERO) - 1
-    lower_is_01 = box.lower_cdf[lower_zero_end + 1] == ONE
-    upper_is_01 = box.upper_cdf[upper_zero_end + 1] == ONE
-    if upper_zero_end > lower_zero_end:
+    # Both vectors are non-decreasing and end at 1: each first positive class
+    # is a class of the chain, and a vector is 0-1 exactly when it is 1 there.
+    first_lower_positive = bisect_right(box.lower_cdf, ZERO)
+    first_upper_positive = bisect_right(box.upper_cdf, ZERO)
+    if first_upper_positive > first_lower_positive:
         raise ValueError(
-            f"lower cumulative vector exceeds the upper one at class {lower_zero_end + 1}"
+            f"lower cumulative vector exceeds the upper one at class {first_lower_positive}"
         )
-    return ZeroOneProfile(lower_zero_end, upper_zero_end, lower_is_01, upper_is_01)
+    return ZeroOneProfile(
+        first_lower_positive,
+        first_upper_positive,
+        box.lower_cdf[first_lower_positive] == ONE,
+        box.upper_cdf[first_upper_positive] == ONE,
+    )
 
 
 def is_maxitive(box: PBox) -> bool:

@@ -103,17 +103,17 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
     Succeeds exactly when the box is maxitive (see
     :func:`possbox.maxitive.is_maxitive`); returns ``None`` otherwise, never
     a partial distribution.  The distribution assigns each element its
-    singleton upper probability, ``upper(class) - lower(class below)``; the
-    cost is linear in the number of elements.  The identity
+    singleton upper probability, :meth:`~possbox.pbox.PBox.singleton_upper`;
+    the cost is linear in the number of elements.  The identity
     ``upper(A) == max over x in A of upper({x})`` on every union of classes
     is checked exhaustively by the ``roundtrip`` verification suite, not
     here.
     """
     if not is_maxitive(box):
         return None
-    chain = box.chain
-    class_value = [box.upper_at(i) - box.lower_at(i - 1) for i in range(chain.m)]
-    return PossibilityDistribution({label: class_value[i] for i, label in chain.labels_by_class()})
+    return PossibilityDistribution(
+        {label: box.singleton_upper(label) for _, label in box.chain.labels_by_class()}
+    )
 
 
 def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:
@@ -150,9 +150,9 @@ def value_levels(
 def zero_one_possibility(box: PBox) -> PossibilityDistribution:
     """Possibility distribution of a box whose two vectors are both 0-1.
 
-    The distribution is the indicator of the classes strictly between the
-    last zero of the upper vector and the first positive of the lower
-    vector (inclusive); on finite chains this window is never empty.
+    The distribution is the indicator of the classes from the profile's
+    ``first_upper_positive`` to its ``first_lower_positive``, both included;
+    lower never exceeds upper, so this window is never empty.
     Agrees with :func:`pbox_to_possibility` wherever both apply.
     """
     profile = zero_one_profile(box)

@@ -10,11 +10,11 @@ acceptance tests; all comparisons are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from possbox import oracle
 from possbox.chain import Chain, class_subsets
@@ -57,7 +57,7 @@ class SuiteReport:
     suite: str
     cases: int = 0
     checks: int = 0
-    counterexample: dict | None = field(default=None)
+    counterexample: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -85,7 +85,7 @@ def grid_values(den: int) -> tuple[Fraction, ...]:
 
 def default_chain(m: int) -> Chain:
     """Canonical chain with singleton classes ``x0 < x1 < ..``."""
-    return Chain([[f"x{i}"] for i in range(m)])
+    return Chain([label] for label in _event_labels(range(m)))
 
 
 def iter_cdf_vectors(m: int, values: Sequence[Fraction]) -> Iterator[tuple[Fraction, ...]]:
@@ -118,7 +118,13 @@ def pbox_document(box: PBox) -> dict:
     }
 
 
-def _event_labels(subset: tuple[int, ...]) -> list[str]:
+def pi_document(pi: PossibilityDistribution) -> dict[str, str]:
+    """Replayable JSON form of a possibility distribution, in its own label order."""
+    return {label: str(value) for label, value in pi.items()}
+
+
+def _event_labels(subset: Iterable[int]) -> list[str]:
+    """Labels of the classes ``subset`` of :func:`default_chain`, by its one naming rule."""
     return [f"x{i}" for i in subset]
 
 
@@ -254,8 +260,8 @@ def suite_roundtrip(
         if pi != target:
             return report.fail(
                 document=pbox_document(box),
-                expected_pi={k: str(v) for k, v in target.items()},
-                computed_pi=None if pi is None else {k: str(v) for k, v in pi.items()},
+                expected_pi=pi_document(target),
+                computed_pi=None if pi is None else pi_document(pi),
             )
 
     rng = random.Random(seed)
@@ -271,7 +277,7 @@ def suite_roundtrip(
             report.checks += 1
             if upper != possibility:
                 return report.fail(
-                    pi={k: str(v) for k, v in pi.items()},
+                    pi=pi_document(pi),
                     event=event,
                     pbox_upper=str(upper),
                     possibility=str(possibility),

@@ -1,8 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from possbox import Chain, PBox
+from possbox.chain import class_subsets
 
 
 @pytest.fixture
@@ -40,4 +39,7 @@ def precise(chain3: Chain) -> PBox:
     return PBox(chain3, ["0", "1", "1"], ["0", "1", "1"])
 
 
-HALF = Fraction(1, 2)
+def every_event(labels):
+    """Every event over ``labels``: the subsets of the sorted labels in :func:`class_subsets` order."""
+    listed = sorted(labels)
+    return [frozenset(listed[j] for j in subset) for subset in class_subsets(len(listed))]

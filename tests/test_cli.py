@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import possbox
-from possbox import oracle, verify
+from possbox import Chain, PBox, cli, oracle, pbox_to_possibility, verify
 from possbox.cli import main
 
 P2_DOC = {
@@ -120,6 +120,17 @@ def test_to_possibility_failure_is_not_an_error(write_doc, capsys):
     assert (code, out) == (0, '{"pi":null}\n')
     code, out, _ = run(capsys, "to-possibility", "--input", path)
     assert (code, out) == (0, "not a possibility measure\n")
+
+
+def test_distributions_have_one_writer(write_doc, capsys):
+    assert cli.pi_document is verify.pi_document
+    # Tied classes listed out of label order: the document follows the chain.
+    doc = {"classes": [["b", "a"], ["c"], ["e", "d"]], "lower": ["0", "0", "1"], "upper": ["1/3", "3/4", "1"]}
+    box = PBox(Chain(doc["classes"]), doc["lower"], doc["upper"])
+    code, out, _ = run(capsys, "to-possibility", "--input", write_doc(doc), "--json")
+    expected = {"pi": verify.pi_document(pbox_to_possibility(box))}
+    assert (code, out) == (0, json.dumps(expected, separators=(",", ":")) + "\n")
+    assert list(expected["pi"]) == ["a", "b", "c", "d", "e"]
 
 
 def test_from_possibility(write_doc, capsys):

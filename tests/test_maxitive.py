@@ -1,8 +1,8 @@
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from conftest import every_event
 
 from possbox import (
     Chain,
@@ -18,7 +18,7 @@ from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
 
 def test_profiles(p1, p2, q, r, precise):
     prof = zero_one_profile(p1)
-    assert (prof.lower_zero_end, prof.upper_zero_end) == (1, -1)
+    assert (prof.first_lower_positive, prof.first_upper_positive) == (2, 0)
     assert prof.lower_is_01 and not prof.upper_is_01
 
     prof = zero_one_profile(p2)
@@ -30,11 +30,11 @@ def test_profiles(p1, p2, q, r, precise):
 
     prof = zero_one_profile(r)
     assert prof.lower_is_01 and prof.upper_is_01
-    assert (prof.lower_zero_end, prof.upper_zero_end) == (1, 0)
+    assert (prof.first_lower_positive, prof.first_upper_positive) == (2, 1)
 
     prof = zero_one_profile(precise)
     assert prof.lower_is_01 and prof.upper_is_01
-    assert prof.lower_zero_end == prof.upper_zero_end == 0
+    assert prof.first_lower_positive == prof.first_upper_positive == 1
 
 
 def test_profile_rejects_crossed_vectors():
@@ -103,29 +103,31 @@ def test_specialized_formulas_agree_with_general_route():
         profile = zero_one_profile(box)
         both = profile.lower_is_01 and profile.upper_is_01
         window = zero_one_possibility(box) if both else None
-        labels = sorted(box.chain.labels)
-        for k in range(len(labels) + 1):
-            for combo in combinations(labels, k):
-                event = frozenset(combo)
-                expected = box.upper(event)
-                if profile.lower_is_01:
-                    assert upper_01_lower(box, event) == expected
-                if profile.upper_is_01:
-                    assert upper_01_upper(box, event) == expected
-                if both:
-                    assert upper_01_both(box, event) == expected == window.measure(event)
+        for event in every_event(box.chain.labels):
+            expected = box.upper(event)
+            if profile.lower_is_01:
+                assert upper_01_lower(box, event) == expected
+            if profile.upper_is_01:
+                assert upper_01_upper(box, event) == expected
+            if both:
+                assert upper_01_both(box, event) == expected == window.measure(event)
 
 
 def test_profile_matches_a_scan_of_both_vectors():
     def scanned(vector):
-        zero_end = -1
-        while vector[zero_end + 1] == 0:
-            zero_end += 1
-        return zero_end, all(v in (0, 1) for v in vector)
+        first_positive = 0
+        while vector[first_positive] == 0:
+            first_positive += 1
+        return first_positive, all(v in (0, 1) for v in vector)
 
     boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
     boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
     for box in boxes:
         profile = zero_one_profile(box)
-        fields = (profile.lower_zero_end, profile.lower_is_01, profile.upper_zero_end, profile.upper_is_01)
+        fields = (
+            profile.first_lower_positive,
+            profile.lower_is_01,
+            profile.first_upper_positive,
+            profile.upper_is_01,
+        )
         assert fields == scanned(box.lower_cdf) + scanned(box.upper_cdf)

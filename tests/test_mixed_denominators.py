@@ -9,9 +9,9 @@ compared with a ``Fraction``-only gap loop written out below.
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from conftest import every_event
 
 from possbox import Chain, PBox
 from possbox.oracle import credal_lower, credal_upper
@@ -98,11 +98,6 @@ def mixed_box(rng, sizes):
     return classes, [*lower, "1"], [*upper, "1"]
 
 
-def every_event(classes):
-    labels = [label for cls in classes for label in cls]
-    return [frozenset(c) for k in range(len(labels) + 1) for c in combinations(labels, k)]
-
-
 def mixed_boxes():
     rng = random.Random(20240611)
     return [(sizes, *mixed_box(rng, sizes)) for sizes in SHAPES for _ in range(BOXES_PER_SHAPE)]
@@ -128,7 +123,7 @@ def box_ids(boxes):
 def test_upper_and_lower_match_the_fraction_gap_loop(sizes, classes, lower, upper):
     box = PBox(Chain(classes), lower, upper)
     labels = box.chain.labels
-    for event in every_event(classes):
+    for event in every_event(labels):
         expected = gap_loop_upper(classes, lower, upper, event)
         assert box.upper(event) == expected, (lower, upper, sorted(event))
         assert box.lower(event) == 1 - gap_loop_upper(classes, lower, upper, labels - event)
@@ -142,7 +137,7 @@ SMALL = [box for box in MIXED if len(box[0]) <= 3]
 @pytest.mark.parametrize("sizes, classes, lower, upper", SMALL, ids=box_ids(SMALL))
 def test_upper_and_lower_match_the_oracle(sizes, classes, lower, upper):
     box = PBox(Chain(classes), lower, upper)
-    for event in every_event(classes):
+    for event in every_event(box.chain.labels):
         assert box.upper(event) == credal_upper(box, event), (lower, upper, sorted(event))
         assert box.lower(event) == credal_lower(box, event), (lower, upper, sorted(event))
 

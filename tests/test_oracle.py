@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from conftest import every_event
 
 from possbox import (
     Chain,
@@ -16,6 +16,7 @@ from possbox import (
     exhaustive_max_preserving,
 )
 from possbox import oracle
+from possbox.chain import class_subsets
 from possbox.oracle import Infeasible, simplex_max
 from possbox.verify import default_chain, iter_chain_pboxes, iter_grid_pboxes
 
@@ -90,9 +91,8 @@ def regions_built(monkeypatch):
 
 
 def test_phase_one_runs_once_per_region(p1, regions_built):
-    for k in range(4):
-        for subset in combinations(range(3), k):
-            oracle.credal_upper_classes(p1, subset)
+    for subset in class_subsets(3):
+        oracle.credal_upper_classes(p1, subset)
     assert check_coherence(p1) and exhaustive_max_preserving(p1)
     assert credal_upper(p1, {"a", "c"}) == 1 and credal_lower(p1, {"c"}) == Fraction(1, 5)
     assert len(regions_built) == 1 and regions_built[0] is oracle._box_region(p1)
@@ -197,20 +197,16 @@ def test_credal_frozen_values(p1):
 
 def test_credal_matches_formula_on_fixtures(p1, p2, q, r, precise):
     for box in (p1, p2, q, r, precise):
-        labels = sorted(box.chain.labels)
-        for k in range(len(labels) + 1):
-            for combo in combinations(labels, k):
-                event = frozenset(combo)
-                assert credal_upper(box, event) == box.upper(event)
-                assert credal_lower(box, event) == box.lower(event)
+        for event in every_event(box.chain.labels):
+            assert credal_upper(box, event) == box.upper(event)
+            assert credal_lower(box, event) == box.lower(event)
 
 
 def test_the_oracle_reads_only_the_public_vectors(p2):
     # PBox computes on private integer numerators.  The oracle must answer
     # from lower_cdf/upper_cdf alone to stay an independent route: here every
     # private slot is deleted and its region built afresh.
-    labels = sorted(p2.chain.labels)
-    events = [frozenset(combo) for k in range(len(labels) + 1) for combo in combinations(labels, k)]
+    events = every_event(p2.chain.labels)
     stripped = PBox(p2.chain, p2.lower_cdf, p2.upper_cdf)
     for slot in PBox.__slots__:
         if slot.startswith("_"):
@@ -242,10 +238,7 @@ def test_oracle_matches_formula_on_tied_chains():
         Chain([["a", "b"], ["c"], ["d", "e"]]),
     ]
     for chain in chains:
-        labels = sorted(chain.labels)
-        events = [
-            frozenset(combo) for k in range(len(labels) + 1) for combo in combinations(labels, k)
-        ]
+        events = every_event(chain.labels)
         for box in iter_chain_pboxes(chain, 4):
             for event in events:
                 assert credal_upper(box, event) == box.upper(event)

@@ -1,7 +1,7 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from conftest import every_event
 
 from possbox import Chain, PBox
 from possbox.rationals import MAX_DIGITS, exact
@@ -137,10 +137,7 @@ def test_singleton_upper(p2):
 
 
 def test_upper_is_monotone_and_subadditive(p2):
-    labels = sorted(p2.chain.labels)
-    events = []
-    for k in range(len(labels) + 1):
-        events.extend(frozenset(c) for c in combinations(labels, k))
+    events = every_event(p2.chain.labels)
     for small in events:
         for large in events:
             if small <= large:

@@ -2,10 +2,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import every_event
 
 import possbox
 from possbox import (
@@ -53,12 +53,9 @@ def test_distribution_queries():
 def test_measure_caps_complement_at_one():
     # At least one of an event and its complement always has measure one.
     pi = PossibilityDistribution({"a": "1/4", "b": "1/2", "c": "1"})
-    labels = sorted(pi.labels)
-    for k in range(len(labels) + 1):
-        for combo in combinations(labels, k):
-            event = set(combo)
-            rest = set(labels) - event
-            assert max(pi.measure(event), pi.measure(rest)) == 1
+    for event in every_event(pi.labels):
+        rest = pi.labels - event
+        assert max(pi.measure(event), pi.measure(rest)) == 1
 
 
 def test_pbox_to_possibility_frozen(p1, p2):
@@ -74,11 +71,26 @@ def test_pbox_to_possibility_matches_upper_everywhere(p1, q, r, precise):
     for box in (p1, q, r, precise):
         pi = pbox_to_possibility(box)
         assert pi is not None
-        labels = sorted(box.chain.labels)
-        for k in range(len(labels) + 1):
-            for combo in combinations(labels, k):
-                event = frozenset(combo)
-                assert pi.measure(event) == box.upper(event)
+        for event in every_event(box.chain.labels):
+            assert pi.measure(event) == box.upper(event)
+
+
+def test_pbox_to_possibility_follows_singleton_upper(p1, q, monkeypatch):
+    # Each element's value is PBox.singleton_upper, not a second copy of it.
+    # Values below 1 move up by 1/128; those at 1 stay, so the result is normalized.
+    original = PBox.singleton_upper
+
+    def nudged(box, x):
+        value = original(box, x)
+        return value if value == 1 else value + Fraction(1, 128)
+
+    before = [pbox_to_possibility(box) for box in (p1, q)]
+    monkeypatch.setattr(PBox, "singleton_upper", nudged)
+    for box, pi in zip((p1, q), before):
+        moved = pbox_to_possibility(box)
+        assert list(moved) == list(pi)
+        assert [moved[x] for x in pi] == [v if v == 1 else v + Fraction(1, 128) for _, v in pi.items()]
+    assert pbox_to_possibility(p1)["a"] == Fraction(1, 2) + Fraction(1, 128)
 
 
 def test_pbox_to_possibility_reads_only_the_cumulative_vectors(monkeypatch):
@@ -132,12 +144,9 @@ def test_possibility_round_trip_examples():
     for raw in samples:
         pi = PossibilityDistribution(raw)
         chain, box = possibility_to_pbox(pi)
-        labels = sorted(pi.labels)
         assert chain.labels == pi.labels
-        for k in range(len(labels) + 1):
-            for combo in combinations(labels, k):
-                event = frozenset(combo)
-                assert box.upper(event) == pi.measure(event)
+        for event in every_event(pi.labels):
+            assert box.upper(event) == pi.measure(event)
 
 
 def test_zero_one_possibility_frozen(r, precise):
@@ -169,25 +178,19 @@ def test_conjunction_decompose_frozen(p1, p2):
 
 
 def test_conjunction_bounds_sandwich(p2):
-    labels = sorted(p2.chain.labels)
-    for k in range(len(labels) + 1):
-        for combo in combinations(labels, k):
-            event = frozenset(combo)
-            approx_lower, approx_upper = conjunction_bounds(p2, event)
-            assert approx_lower <= p2.lower(event)
-            assert p2.upper(event) <= approx_upper
+    for event in every_event(p2.chain.labels):
+        approx_lower, approx_upper = conjunction_bounds(p2, event)
+        assert approx_lower <= p2.lower(event)
+        assert p2.upper(event) <= approx_upper
 
 
 def assert_bounds_are_the_decomposition_measures(box):
     pi_one, pi_two = conjunction_decompose(box)
-    labels = sorted(box.chain.labels)
-    for k in range(len(labels) + 1):
-        for combo in combinations(labels, k):
-            event = frozenset(combo)
-            rest = box.chain.labels - event
-            approx_upper = min(pi_one.measure(event), pi_two.measure(event))
-            approx_lower = max(1 - pi_one.measure(rest), 1 - pi_two.measure(rest))
-            assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
+    for event in every_event(box.chain.labels):
+        rest = box.chain.labels - event
+        approx_upper = min(pi_one.measure(event), pi_two.measure(event))
+        approx_lower = max(1 - pi_one.measure(rest), 1 - pi_two.measure(rest))
+        assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -11,11 +11,13 @@ from possbox.possibility import conjunction_bounds, pbox_to_possibility, possibi
 from possbox.verify import (
     SUITES,
     SuiteReport,
+    _event_labels,
     default_chain,
     grid_values,
     iter_cdf_vectors,
     iter_grid_pboxes,
     pbox_document,
+    pi_document,
     run_suite,
     suite_conjunction,
     suite_maxitive,
@@ -51,6 +53,13 @@ def test_default_chain_labels():
     assert [sorted(c) for c in chain.classes] == [["x0"], ["x1"], ["x2"]]
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_default_chain_names_its_classes_like_counterexample_events(m):
+    # A counterexample's event and its document's classes come from one rule.
+    classes = [sorted(cls) for cls in default_chain(m).classes]
+    assert classes == [[label] for label in _event_labels(range(m))]
+
+
 def test_pbox_document_replayable(p1):
     doc = pbox_document(p1)
     assert doc == {
@@ -58,6 +67,11 @@ def test_pbox_document_replayable(p1):
         "lower": ["0", "0", "1"],
         "upper": ["1/2", "4/5", "1"],
     }
+
+
+def test_pi_document_keeps_the_distribution_order():
+    doc = pi_document(PossibilityDistribution({"z": "1/2", "y": 1, "x": "0.25"}))
+    assert list(doc.items()) == [("z", "1/2"), ("y", "1"), ("x", "1/4")]
 
 
 def test_suite_report_summary():
