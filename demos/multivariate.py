@@ -35,8 +35,9 @@ def main() -> None:
     print(f"{'point':10}{'score z':10}{'z (min rule)':14}{'z^n (product)':15}{'rs outer':10}")
     for point in family.points():
         name = "(" + ", ".join(point) + ")"
+        score = max(pi[x] for pi, x in zip(family.marginals, point))
         print(
-            f"{name:10}{family.z_value(point)!s:10}{frechet[point]!s:14}"
+            f"{name:10}{score!s:10}{frechet[point]!s:14}"
             f"{independent[point]!s:15}{rsi[point]!s:10}"
         )
     print()

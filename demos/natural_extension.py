@@ -41,19 +41,17 @@ def main() -> None:
           "-1 marks 'strictly below the bottom class')")
     print()
 
+    # An order interval is the event made of the classes it spans.
+    tue, wed, thu = (chain.index_of(day) for day in ("tue", "wed", "thu"))
     print("interval forms on (tue, thu] and friends:")
-    for closed_left in (False, True):
-        for closed_right in (False, True):
-            left = "[" if closed_left else "("
-            right = "]" if closed_right else ")"
-            value = box.interval_upper(
-                "tue", "thu", closed_left=closed_left, closed_right=closed_right
-            )
+    for left, lo in (("(", tue + 1), ("[", tue)):
+        for right, hi in ((")", thu - 1), ("]", thu)):
+            value = box.upper(chain.class_range_labels(lo, hi))
             print(f"  upper {left}tue, thu{right} = {value}")
     print(f"  upper of the singleton wed = {box.singleton_upper('wed')}")
     print()
     print("note: (tue, wed) between adjacent classes is empty, so:")
-    print(f"  upper (tue, wed) = {box.interval_upper('tue', 'wed', closed_right=False)}")
+    print(f"  upper (tue, wed) = {box.upper(chain.class_range_labels(tue + 1, wed - 1))}")
 
 
 if __name__ == "__main__":

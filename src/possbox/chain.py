@@ -14,7 +14,7 @@ open left endpoint of runs anchored at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from possbox.rationals import shown
 
@@ -173,18 +173,6 @@ class IntervalUnion:
             if prev_right is not None and left <= prev_right:
                 raise ValueError("runs must be sorted and separated by at least one class")
             prev_right = right
-
-    def class_indices(self) -> Iterator[int]:
-        """Covered class indices, ascending."""
-        for left, right in self.runs:
-            yield from range(left + 1, right + 1)
-
-    def as_event(self, chain: Chain) -> frozenset[Label]:
-        """The union of the covered classes, as an event of ``chain``."""
-        if chain.m != self.m:
-            raise ValueError("interval union built for a different chain size")
-        labels = (chain.class_range_labels(left + 1, right) for left, right in self.runs)
-        return frozenset().union(*labels)
 
     @classmethod
     def from_class_indices(cls, m: int, indices: Iterable[int]) -> "IntervalUnion":

@@ -81,12 +81,6 @@ class MarginalFamily:
         for combo in product(*self.levels):
             yield tuple(v for v, _ in combo), product(*(labels for _, labels in combo))
 
-    def z_value(self, point: Sequence[Hashable]) -> Fraction:
-        """Score of a product point: the largest marginal value among its coordinates."""
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, family has {self.n}")
-        return max(m[x] for m, x in zip(self.marginals, point))
-
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
     values = dict.fromkeys(family.points())

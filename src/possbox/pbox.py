@@ -167,40 +167,6 @@ class PBox:
         """
         return ONE - self.upper(self.chain.complement(event))
 
-    # ----------------------------------------------------- interval forms
-
-    def interval_upper(
-        self,
-        x: Label,
-        y: Label,
-        *,
-        closed_left: bool = False,
-        closed_right: bool = True,
-    ) -> Fraction:
-        """Upper probability of an order interval between ``x`` and ``y``.
-
-        The four combinations of the two flags give ``(x, y]``, ``[x, y]``,
-        ``(x, y)`` and ``[x, y)``.  Requires ``x`` strictly below ``y``.
-        Equals :meth:`upper` of the same event; in particular an open
-        interval between adjacent elements is empty and yields 0, which is
-        why the closed-form difference of cumulative values is guarded here.
-
-        >>> chain = Chain([["a"], ["b"], ["c"]])
-        >>> box = PBox(chain, ["0", "0", "1"], ["1/2", "4/5", "1"])
-        >>> box.interval_upper("a", "b")
-        Fraction(4, 5)
-        >>> box.interval_upper("a", "b", closed_right=False)
-        Fraction(0, 1)
-        """
-        ix, iy = self.chain.index_of(x), self.chain.index_of(y)
-        if ix >= iy:
-            raise ValueError(f"{shown(repr(x))} must lie strictly below {shown(repr(y))}")
-        left = ix - 1 if closed_left else ix
-        right = iy if closed_right else iy - 1
-        if left >= right:
-            return ZERO
-        return self.upper_at(right) - self.lower_at(left)
-
     def singleton_upper(self, x: Label) -> Fraction:
         """Upper probability of ``{x}``: the cumulative jump room at its class."""
         i = self.chain.index_of(x)

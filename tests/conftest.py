@@ -39,6 +39,11 @@ def precise(chain3: Chain) -> PBox:
     return PBox(chain3, ["0", "1", "1"], ["0", "1", "1"])
 
 
+def cover_classes(cover):
+    """The class indices a cover's runs span, ascending: ``l + 1 .. r`` for each run ``(l, r]``."""
+    return tuple(i for left, right in cover.runs for i in range(left + 1, right + 1))
+
+
 def every_event(labels):
     """Every event over ``labels``: the subsets of the sorted labels in :func:`class_subsets` order."""
     listed = sorted(labels)

@@ -30,9 +30,11 @@ def family_2x2():
 def test_family_points_and_scores(family_2x2):
     points = list(family_2x2.points())
     assert ("u", "s") in points and len(points) == 4
-    assert family_2x2.z_value(("u", "s")) == Fraction(1, 2)
-    assert family_2x2.z_value(("u", "t")) == 1
-    assert family_2x2.z_value(("v", "s")) == 1
+    # The score z is the Fréchet joint.
+    frechet = joint_frechet(family_2x2)
+    assert frechet[("u", "s")] == Fraction(1, 2)
+    assert frechet[("u", "t")] == 1
+    assert frechet[("v", "s")] == 1
 
 
 def test_joint_frozen_values(family_2x2):
@@ -43,7 +45,7 @@ def test_joint_frozen_values(family_2x2):
     assert independent[("u", "s")] == Fraction(1, 4)
     assert rsi[("u", "s")] == Fraction(51, 100)
     for point in family_2x2.points():
-        assert frechet[point] == family_2x2.z_value(point)
+        assert frechet[point] == max(pi[x] for pi, x in zip(family_2x2.marginals, point))
 
 
 def test_joints_are_normalized(family_2x2):

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import every_event
@@ -218,6 +220,52 @@ def test_the_oracle_reads_only_the_public_vectors(p2):
         assert credal_upper(stripped, event) == p2.upper(event)
         assert credal_lower(stripped, event) == p2.lower(event)
     assert oracle.credal_upper_classes(stripped, (0, 2)) == p2.upper({"a", "c"})
+
+
+#: What oracle.py may import from possbox, by module (None: any name).
+ORACLE_IMPORTS = {
+    "possbox.chain": {"Label", "class_subsets"},
+    "possbox.pbox": {"PBox"},
+    "possbox.possibility": {"PossibilityDistribution"},
+    "possbox.rationals": None,
+}
+#: The attributes oracle.py may read on a name ``box``: the box as constraint rows.
+ORACLE_BOX_READS = {"chain", "m", "lower_cdf", "upper_cdf"}
+
+
+def oracle_independence_breaches(source: str) -> list[str]:
+    """Imports from possbox, and reads on ``box``, that the oracle's source may not make."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            breaches += [f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == "possbox"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "possbox"):
+            allowed = ORACLE_IMPORTS.get(node.module, set())  # a relative import names no key
+            breaches += [
+                f"from {node.module} import {alias.name}"
+                for alias in node.names
+                if allowed is not None and alias.name not in allowed
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "box"
+            and node.attr not in ORACLE_BOX_READS
+        ):
+            breaches.append(f"line {node.lineno}: box.{node.attr}")
+    return breaches
+
+
+def test_the_oracle_imports_and_reads_nothing_of_the_closed_forms():
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert oracle_independence_breaches(source) == []
+    # Two mutants of the source, each a route back to the closed forms.
+    reads_upper = source.replace("box.upper_cdf[i] != ONE", "box.upper(()) != ONE", 1)
+    imports_maxitive = source.replace("from possbox.pbox import PBox", "from possbox.maxitive import is_maxitive", 1)
+    assert source != reads_upper and source != imports_maxitive
+    [breach] = oracle_independence_breaches(reads_upper)
+    assert breach.endswith(": box.upper")
+    assert oracle_independence_breaches(imports_maxitive) == ["from possbox.maxitive import is_maxitive"]
 
 
 def test_adding_constraints_never_raises_optimum(p2):

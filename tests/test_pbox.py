@@ -104,30 +104,22 @@ def test_upper_on_down_and_up_sets_matches_vectors(p2):
             assert p2.upper(up) == 1 - p2.lower_cdf[i]
 
 
-def test_interval_upper_forms(p2):
-    # (a, b] uses the cumulative gap directly.
-    assert p2.interval_upper("a", "b") == Fraction(4, 5) - Fraction(1, 5)
+def test_interval_forms_by_class_range(p2):
+    # An order interval is the event of the classes it spans.  With a, b, c
+    # the classes 0, 1, 2, (a, b] and (a, c) both span class 1 alone, and
+    # [a, b] and [a, c) both span classes 0..1.
+    span = p2.chain.class_range_labels
+    # (a, b] takes the cumulative gap directly.
+    assert p2.upper(span(1, 1)) == Fraction(4, 5) - Fraction(1, 5)
     # [a, b] reaches one class further down.
-    assert p2.interval_upper("a", "b", closed_left=True) == Fraction(4, 5)
-    # (a, c) excludes both endpoints, leaving only the middle class.
-    assert p2.interval_upper("a", "c", closed_right=False) == Fraction(4, 5) - Fraction(1, 5)
-    # [a, c) keeps the left endpoint.
-    assert (
-        p2.interval_upper("a", "c", closed_left=True, closed_right=False)
-        == Fraction(4, 5)
-    )
-
-
-def test_interval_upper_needs_x_strictly_below_y(p2):
-    for x, y in (("b", "b"), ("c", "a")):
-        with pytest.raises(ValueError, match="strictly below"):
-            p2.interval_upper(x, y)
+    assert p2.upper(span(0, 1)) == Fraction(4, 5)
 
 
 def test_open_interval_between_adjacent_points_is_empty(p2):
     # (a, b) contains no class at all, so its upper value must be zero even
     # though the cumulative gap between the endpoints is positive.
-    assert p2.interval_upper("a", "b", closed_right=False) == 0
+    assert p2.chain.class_range_labels(1, 0) == frozenset()
+    assert p2.upper(p2.chain.class_range_labels(1, 0)) == 0
 
 
 def test_singleton_upper(p2):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import cover_classes
 
 from possbox import (
     Chain,
@@ -99,9 +100,11 @@ def test_minimal_cover_properties(case):
     box, event_a, _ = case
     chain = box.chain
     cover = chain.minimal_cover(event_a)
-    assert event_a <= cover.as_event(chain)
-    assert set(cover.class_indices()) == set(chain.classes_hit(event_a))
-    assert chain.minimal_cover(cover.as_event(chain)) == cover
+    classes = cover_classes(cover)
+    covered = frozenset().union(*(chain.classes[i] for i in classes))
+    assert event_a <= covered
+    assert classes == chain.classes_hit(event_a)
+    assert chain.minimal_cover(covered) == cover
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -129,17 +132,18 @@ def test_possibility_round_trip(pi, mask):
 @settings(derandomize=True)
 @given(grid_pboxes())
 def test_interval_forms_match_general_route(box):
+    # The paper's interval formula, kept here as the reference: the order
+    # interval spanning classes lo..hi has upper probability
+    # upper(hi) - lower(lo - 1), and an interval spanning no class has 0.
     chain = box.chain
-    reps = [sorted(cls)[0] for cls in chain.classes]
-    for i, x in enumerate(reps):
-        assert box.singleton_upper(x) == box.upper(chain.classes[i])
-        for j in range(i + 1, len(reps)):
-            y = reps[j]
-            for closed_left in (False, True):
-                for closed_right in (False, True):
-                    lo = i if closed_left else i + 1
-                    hi = j if closed_right else j - 1
-                    event = chain.class_range_labels(lo, hi) if lo <= hi else frozenset()
-                    assert box.interval_upper(
-                        x, y, closed_left=closed_left, closed_right=closed_right
-                    ) == box.upper(event)
+    for i, cls in enumerate(chain.classes):
+        assert box.singleton_upper(sorted(cls)[0]) == box.upper(cls)
+        for j in range(i + 1, chain.m):
+            # (x, y], [x, y], (x, y) and [x, y) for x in class i and y in class j.
+            for lo in (i + 1, i):
+                for hi in (j, j - 1):
+                    value = box.upper(chain.class_range_labels(lo, hi))
+                    if lo <= hi:
+                        assert value == box.upper_at(hi) - box.lower_at(lo - 1)
+                    else:
+                        assert value == 0
