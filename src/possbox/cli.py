@@ -69,7 +69,7 @@ def _load_document(args: argparse.Namespace) -> dict:
             text = sys.stdin.read()
         doc = json.loads(text)
     except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc}") from exc
+        raise CliError(f"cannot read {shown(args.input)}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, a huge integer

@@ -12,8 +12,12 @@ pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
 integer numerator over one common denominator and no ``Fraction`` is built
 until the optimum is returned.  Callers ask many objectives over one
 region (every event of one box): a :class:`Region` runs phase 1 once, when
-built, and each call given it runs phase 2 alone.  The credal routines keep
-the last box's region, keyed on the box, which is immutable and exact.
+built, and each call given it runs phase 2 alone, starting from the last
+optimal basis found on that region.  Any basis of the region is feasible
+for every objective, Bland's rule terminates from it and the optimal value
+is unique, so answers never depend on call order; only pivot counts do.
+The credal routines keep the last box's region in one slot, keyed on the
+box's identity (a box is immutable and exact).
 
 Masses live on elements, one variable each, listed class by class, so a
 chain of singleton classes has one variable per class.  The programs never
@@ -25,7 +29,6 @@ checks it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -58,14 +61,18 @@ class Region:
     ``tableau`` is a feasible basis (``None`` if the region is empty): integer
     numerators over the common denominator ``d > 0``, artificial columns
     removed, the right-hand side last, ``basis`` its basic columns.  ``width``
-    counts the structural and slack columns.  Rows are never mutated in
-    place, so a copy of the outer sequence is a copy of the tableau.
+    counts the structural and slack columns.  ``start`` is the
+    ``(tableau, basis, d)`` phase 2 starts from (``None`` if the region is
+    empty): the phase-1 basis until :func:`simplex_max` stores the last
+    optimum found on the region.  Rows are never mutated in place, so a
+    copy of the outer sequence is a copy of the tableau.
     """
 
     def __init__(self, num_vars: int, constraints: Iterable[Row]):
         self.num_vars = num_vars
         self.constraints = tuple(constraints)
         self.tableau, self.basis, self.d = None, (), 1
+        self.start = None
         scaled: list[tuple[list[int], str, int]] = []
         for coeffs, sense, rhs in self.constraints:
             if len(coeffs) != num_vars:
@@ -125,6 +132,7 @@ class Region:
                 i += 1
             tableau = [row[:art_start] + [row[-1]] for row in tableau]
         self.tableau, self.basis, self.d = tuple(tableau), tuple(basis), d
+        self.start = (self.tableau, self.basis, d)
 
 
 def simplex_max(
@@ -139,8 +147,10 @@ def simplex_max(
     binary float raises ``ValueError``.  Exact two-phase simplex with
     Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
     runs on a fresh :class:`Region` unless ``region``, built from these same
-    row objects, is given (other rows or ``num_vars`` raise ``ValueError``);
-    no call remembers another.  An infeasible region raises
+    row objects, is given (other rows or ``num_vars`` raise ``ValueError``).
+    Calls given one region start phase 2 from the last optimal basis found
+    on it, and store theirs; the answer never depends on call order.
+    Without ``region`` nothing is remembered.  An infeasible region raises
     :class:`Infeasible`.  A constraint or objective wider than ``num_vars``
     raises ``ValueError``.  Assumes a bounded optimum (every system in this
     module lives inside the probability simplex) and raises
@@ -158,11 +168,14 @@ def simplex_max(
     scale = lcm(*(c.denominator for c in costs))
     cost = [c.numerator * (scale // c.denominator) for c in costs]
     cost += [0] * (region.width - len(cost))
-    tableau = list(region.tableau)
-    basis = list(region.basis)
-    tableau.append(_objective_row(tableau, basis, cost, region.d))
-    d = _bland(tableau, basis, region.d)
-    return Fraction(tableau[-1][-1], d * scale)
+    start, basis, d = region.start
+    tableau = list(start)
+    basis = list(basis)
+    tableau.append(_objective_row(tableau, basis, cost, d))
+    d = _bland(tableau, basis, d)
+    value = tableau.pop()[-1]
+    region.start = (tableau, basis, d)
+    return Fraction(value, d * scale)
 
 
 def _objective_row(
@@ -242,7 +255,11 @@ def _pivot(
 # --------------------------------------------------------------- credal LPs
 
 
-@lru_cache(maxsize=1)
+#: The last box asked about and its region, compared by identity: the slot
+#: holds the box, so its ``id`` cannot be reused while it is cached.
+_slot: tuple[PBox | None, Region | None] = (None, None)
+
+
 def _box_region(box: PBox) -> Region:
     """The box's credal set: cumulative constraints on element masses, class by class.
 
@@ -251,8 +268,13 @@ def _box_region(box: PBox) -> Region:
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
     The top class carries the total-mass equality.  One slot keeps the
-    region of the last box asked about.
+    region of the last box asked about; a box is immutable and exact, so
+    its identity is key enough, and no call hashes its vectors.
     """
+    global _slot
+    slot_box, region = _slot
+    if slot_box is box:
+        return region
     sizes = [len(cls) for cls in box.chain.classes]
     n = sum(sizes)
     rows: list[Row] = []
@@ -268,6 +290,7 @@ def _box_region(box: PBox) -> Region:
     region = Region(n, rows)
     if region.tableau is None:  # pragma: no cover - valid boxes always admit a distribution
         raise RuntimeError("credal set of a valid probability box came up empty")
+    _slot = (box, region)
     return region
 
 

@@ -361,6 +361,13 @@ def test_argv_errors_cut_long_runs_like_input_errors(capsys, argv, line):
     assert len(err.encode()) < 120
 
 
+def test_an_unreadable_input_path_is_named_once_and_cut(capsys):
+    code, out, err = run(capsys, "validate", "--input", LONG_RUN)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: cannot read " + "x" * 40 + "... (5000 characters): ")
+    assert err.count("x" * 40) == 1 and len(err.encode()) <= 200
+
+
 @pytest.mark.parametrize(
     "doc, command, json_out",
     [

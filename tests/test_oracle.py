@@ -20,7 +20,14 @@ from possbox import (
 from possbox import oracle
 from possbox.chain import class_subsets
 from possbox.oracle import Infeasible, simplex_max
-from possbox.verify import default_chain, iter_chain_pboxes, iter_grid_pboxes
+from possbox.verify import default_chain, iter_chain_pboxes, iter_grid_pboxes, suite_oracle
+
+#: Chains with tied classes: more mass variables than classes.
+TIED_CHAINS = (
+    Chain([["a", "b"], ["c"]]),
+    Chain([["a"], ["b", "c", "d"]]),
+    Chain([["a", "b"], ["c"], ["d", "e"]]),
+)
 
 
 def test_simplex_small_known_optima():
@@ -78,7 +85,7 @@ def test_simplex_fractional_negative_and_string_coefficients():
 
 @pytest.fixture
 def regions_built(monkeypatch):
-    """Regions built from now on (one phase-1 solve each), box cache cleared."""
+    """Regions built from now on (one phase-1 solve each), box slot emptied."""
     built = []
 
     class Counting(oracle.Region):
@@ -86,10 +93,33 @@ def regions_built(monkeypatch):
             super().__init__(num_vars, constraints)
             built.append(self)
 
-    oracle._box_region.cache_clear()
+    monkeypatch.setattr(oracle, "_slot", (None, None))
     monkeypatch.setattr(oracle, "Region", Counting)
-    yield built
-    oracle._box_region.cache_clear()
+    return built
+
+
+@pytest.fixture
+def pivots(monkeypatch, regions_built):
+    """Pivots from now on: those made while a region is built, and the rest."""
+    counts = {"phase 1": 0, "phase 2": 0}
+    phase = ["phase 2"]
+    pivot = oracle._pivot
+
+    class Phased(oracle.Region):
+        def __init__(self, num_vars, constraints):
+            phase[0] = "phase 1"
+            try:
+                super().__init__(num_vars, constraints)
+            finally:
+                phase[0] = "phase 2"
+
+    def counting(*args):
+        counts[phase[0]] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(oracle, "Region", Phased)
+    monkeypatch.setattr(oracle, "_pivot", counting)
+    return counts
 
 
 def test_phase_one_runs_once_per_region(p1, regions_built):
@@ -103,6 +133,28 @@ def test_phase_one_runs_once_per_region(p1, regions_built):
 def test_intersection_check_runs_phase_one_once_per_region(p2, regions_built):
     assert credal_intersection_equal(p2, *conjunction_decompose(p2))
     assert len(regions_built) == 2
+
+
+def test_phase_two_starts_from_the_last_optimum(regions_built, pivots):
+    # From the phase-1 basis on every call, phase 2 took 7,964 pivots here.
+    report = suite_oracle(4, 4)
+    assert report.ok and (report.cases, report.checks) == (611, 13354)
+    assert len(regions_built) == 611
+    assert pivots == {"phase 1": 2446, "phase 2": 5815}
+
+
+def test_warm_optima_equal_cold_on_every_event():
+    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
+    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
+    for box in boxes:
+        n = sum(len(cls) for cls in box.chain.classes)
+        objectives = [[1 if k in subset else 0 for k in range(n)] for subset in class_subsets(n)]
+        constraints = oracle._box_region(box).constraints
+        cold = [simplex_max(n, constraints, objective) for objective in objectives]
+        region = oracle.Region(n, constraints)
+        for order in (range(len(objectives)), reversed(range(len(objectives)))):
+            for k in order:
+                assert simplex_max(n, constraints, objectives[k], region=region) == cold[k]
 
 
 def test_regions_answer_in_any_order(p1, p2, q):
@@ -204,7 +256,7 @@ def test_credal_matches_formula_on_fixtures(p1, p2, q, r, precise):
             assert credal_lower(box, event) == box.lower(event)
 
 
-def test_the_oracle_reads_only_the_public_vectors(p2):
+def test_the_oracle_reads_only_the_public_vectors(p2, monkeypatch):
     # PBox computes on private integer numerators.  The oracle must answer
     # from lower_cdf/upper_cdf alone to stay an independent route: here every
     # private slot is deleted and its region built afresh.
@@ -215,7 +267,7 @@ def test_the_oracle_reads_only_the_public_vectors(p2):
             delattr(stripped, slot)
     with pytest.raises(AttributeError):
         stripped.upper({"a"})
-    oracle._box_region.cache_clear()
+    monkeypatch.setattr(oracle, "_slot", (None, None))
     for event in events:
         assert credal_upper(stripped, event) == p2.upper(event)
         assert credal_lower(stripped, event) == p2.lower(event)
@@ -280,12 +332,7 @@ def test_adding_constraints_never_raises_optimum(p2):
 def test_oracle_matches_formula_on_tied_chains():
     # The closed forms let a class's mass sit on any of its elements; the
     # oracle has one mass variable per element, so this checks that reduction.
-    chains = [
-        Chain([["a", "b"], ["c"]]),
-        Chain([["a"], ["b", "c", "d"]]),
-        Chain([["a", "b"], ["c"], ["d", "e"]]),
-    ]
-    for chain in chains:
+    for chain in TIED_CHAINS:
         events = every_event(chain.labels)
         for box in iter_chain_pboxes(chain, 4):
             for event in events:
