@@ -13,8 +13,11 @@ Every joint value, and every rectangle's combined bound, depends on a point
 or a rectangle only through its vector of marginal values.  A
 :class:`MarginalFamily` groups each marginal's labels by value once, and
 :meth:`MarginalFamily.vectors` lists each such vector with the product
-points that have it; the joints, :func:`least_conservative_check` and the
-``multivariate`` verification suite all read that one grouping.
+points that have it.  :meth:`MarginalFamily.extremes` adds each vector's
+largest value ``z`` and smallest value ``w``, worked out once per family:
+the three joints, :func:`least_conservative_check` and the ``multivariate``
+verification suite all read that one table.  A joint works out its value
+once per vector and checks each distinct value once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class MarginalFamily:
     order.
     """
 
-    __slots__ = ("marginals", "domains", "levels")
+    __slots__ = ("marginals", "domains", "levels", "_extremes")
 
     def __init__(self, marginals: Iterable[PossibilityDistribution]):
         self.marginals = tuple(marginals)
@@ -54,6 +57,7 @@ class MarginalFamily:
             raise ValueError("a marginal family needs at least one marginal")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
         self.levels = tuple(value_levels(m, domain) for m, domain in zip(self.marginals, self.domains))
+        self._extremes = None
 
     @property
     def n(self) -> int:
@@ -81,14 +85,43 @@ class MarginalFamily:
         for combo in product(*self.levels):
             yield tuple(v for v, _ in combo), product(*(labels for _, labels in combo))
 
+    def extremes(self) -> tuple[tuple[tuple[Fraction, ...], Fraction, Fraction, tuple[tuple, ...]], ...]:
+        """Each vector of :meth:`vectors` as ``(values, z, w, points)``.
+
+        ``z`` and ``w`` are the largest and the smallest of ``values``, and
+        ``points`` is the vector's points as a tuple.  The table is worked
+        out on the first call and kept; later calls return it unchanged.
+
+        >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
+        >>> pi2 = PossibilityDistribution({"s": "3/10", "t": 1})
+        >>> for values, z, w, points in MarginalFamily([pi1, pi2]).extremes()[:2]:
+        ...     print(str(z), str(w), points)
+        1/2 3/10 (('u', 's'),)
+        1 1/2 (('u', 't'),)
+        """
+        if self._extremes is None:
+            self._extremes = tuple(
+                (values, max(values), min(values), tuple(points)) for values, points in self.vectors()
+            )
+        return self._extremes
+
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
+    """The joint whose value at a product point is ``score(z, w)`` of the point's vector.
+
+    The score is worked out once per vector and each distinct value is
+    checked once (:meth:`PossibilityDistribution._checked`), with the
+    constructor's messages naming the first point of the first vector that
+    has the value.  The labels keep :meth:`MarginalFamily.points` order.
+    """
     values = dict.fromkeys(family.points())
-    for vector, points in family.vectors():
-        value = score(vector)
+    distinct: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
+    for _, z, w, points in family.extremes():
+        value = score(z, w)
         for point in points:
             values[point] = value
-    return PossibilityDistribution(values)
+        distinct.setdefault((value.numerator, value.denominator), (value, points[0]))
+    return PossibilityDistribution._checked(values, distinct.values())
 
 
 def joint_frechet(family: MarginalFamily) -> PossibilityDistribution:
@@ -99,7 +132,7 @@ def joint_frechet(family: MarginalFamily) -> PossibilityDistribution:
     >>> joint_frechet(MarginalFamily([pi1, pi2]))[("u", "s")]
     Fraction(1, 2)
     """
-    return _build_joint(family, lambda vals: max(vals))
+    return _build_joint(family, lambda z, w: z)
 
 
 def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
@@ -111,7 +144,7 @@ def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
     Fraction(1, 4)
     """
     n = family.n
-    return _build_joint(family, lambda vals: max(vals) ** n)
+    return _build_joint(family, lambda z, w: z**n)
 
 
 def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
@@ -123,7 +156,7 @@ def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
     Fraction(51, 100)
     """
     n = family.n
-    return _build_joint(family, lambda vals: ONE - (ONE - min(vals)) ** n)
+    return _build_joint(family, lambda z, w: ONE - (ONE - w) ** n)
 
 
 #: Joint constructions by name (the command line's ``joint --rule`` choices).
@@ -169,7 +202,9 @@ def least_conservative_check(
     Any smaller value at an occupied level is ruled out because a rectangle
     whose component measures all reach ``z`` would then exceed the joint's
     cumulative value at that level; any larger value is not least
-    conservative.  Every point of ``joint`` is read.
+    conservative.  Every point of ``joint`` is read, and compared with the
+    canonical value as a numerator and denominator pair (``joint`` may hold
+    any exact rationals in lowest terms, ``int`` included).
 
     *Rectangle dominance* (the joint's measure of every rectangle of
     marginal events reaches the rule's combined bound) then holds without a
@@ -189,10 +224,11 @@ def least_conservative_check(
     if set(family.points()) != joint.labels:
         raise ValueError("joint does not live on this family's product space")
 
-    for values, points in family.vectors():
-        z = max(values)
+    for _, z, _, points in family.extremes():
         canonical = z if rule == "frechet" else z**n
+        num, den = canonical.numerator, canonical.denominator
         for point in points:
-            if joint[point] != canonical:
+            value = joint[point]
+            if value.numerator != num or value.denominator != den:
                 return False
     return True

@@ -22,6 +22,13 @@ from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO, exact, shown
 
 
+_UNATTAINED = "a possibility distribution must attain the value 1"
+
+
+def _outside(q: Fraction, label: Hashable) -> ValueError:
+    return ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
+
+
 class PossibilityDistribution:
     """Exact possibility distribution over a finite set of labels.
 
@@ -48,13 +55,36 @@ class PossibilityDistribution:
             # Integer comparisons: a Fraction's denominator is positive, and
             # its value is 1 exactly when numerator and denominator agree.
             if not 0 <= q.numerator <= q.denominator:
-                raise ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
+                raise _outside(q, label)
             converted[label] = q
             if q.numerator == q.denominator:
                 attained = True
         if not attained:
-            raise ValueError("a possibility distribution must attain the value 1")
+            raise ValueError(_UNATTAINED)
         self._values = converted
+
+    @classmethod
+    def _checked(
+        cls, values: dict[Hashable, Fraction], levels: Iterable[tuple[Fraction, Hashable]]
+    ) -> PossibilityDistribution:
+        """A distribution holding ``values`` as given, each distinct value checked once.
+
+        ``values`` maps every label to a :class:`Fraction` already, and
+        ``levels`` pairs each distinct value among them with one label
+        holding it.  The checks and their messages are the constructor's,
+        naming the label ``levels`` gives.
+        """
+        attained = False
+        for q, label in levels:
+            if not 0 <= q.numerator <= q.denominator:
+                raise _outside(q, label)
+            if q.numerator == q.denominator:
+                attained = True
+        if not attained:
+            raise ValueError(_UNATTAINED)
+        pi = cls.__new__(cls)
+        pi._values = values
+        return pi
 
     def __getitem__(self, label: Hashable) -> Fraction:
         try:

@@ -398,8 +398,10 @@ def suite_multivariate(
       compares each joint with ``z`` or ``z ** n`` at every product point),
       counted as one check per call and one per point it compares;
     * one pass over the family's vectors of coordinate values
-      (:meth:`~possbox.multivariate.MarginalFamily.vectors`), where every
-      expected value is computed once per vector:
+      (:meth:`~possbox.multivariate.MarginalFamily.extremes`), where every
+      expected value comes from a table local to the call, with one entry
+      per distinct vector across all families, keyed on the vector's
+      numerator and denominator pairs:
 
       - rectangle dominance of the random-set outer bound over independent
         products.  A rectangle of non-empty events has a vector of
@@ -412,13 +414,17 @@ def suite_multivariate(
         ``1 - (1 - w) ** n`` of the random-set outer bound, the ordering of
         the independent joint below the Fréchet joint, and the regime
         comparisons between the independent and random-set bounds.  All
-        three joints are read at every point.
+        three joints are read at every point; reads are compared on their
+        numerators and (positive) denominators.
 
     A family's first failure in vector order is the one reported.
     """
     report = SuiteReport("multivariate")
     pool = _canonical_marginals(max_size, grid_den)
     half = Fraction(1, 2)
+    # Exact vector key -> the outer bound's numerator and denominator, whether
+    # it fails rectangle dominance, and the two regime flags.
+    expected: dict[tuple[tuple[int, int], ...], tuple[int, int, bool, bool, bool]] = {}
     for n in marginal_counts:
         for chosen in product(pool, repeat=n):
             family = MarginalFamily(chosen)
@@ -440,31 +446,41 @@ def suite_multivariate(
                 )
 
             report.checks += prod(2 ** len(domain) - 1 for domain in family.domains)
-            for values, points in family.vectors():
-                z = max(values)
-                w = min(values)
-                outer = ONE - (ONE - w) ** n
-                if outer < prod(values):
+            for values, z, w, points in family.extremes():
+                key = tuple((v.numerator, v.denominator) for v in values)
+                entry = expected.get(key)
+                if entry is None:
+                    outer = ONE - (ONE - w) ** n
+                    at_one = ONE in values
+                    # The "below one half" regime is only claimed here for a level
+                    # point: with very unequal coordinates (say 1/12 and 5/12) the
+                    # product-form bound can lose even though all values are small.
+                    below_half = ZERO < w and z < half and w == z
+                    entry = expected[key] = (
+                        outer.numerator,
+                        outer.denominator,
+                        outer < prod(values),
+                        at_one,
+                        below_half,
+                    )
+                outer_num, outer_den, undominated, at_one, below_half = entry
+                if undominated:
                     return report.fail(
                         marginals=_marginals_document(family),
                         detail="random-set outer bound fails rectangle dominance",
-                        rectangle=[[label] for label in next(points)],
+                        rectangle=[[label] for label in points[0]],
                     )
-                at_one = ONE in values
-                # The "below one half" regime is only claimed here for a level
-                # point: with very unequal coordinates (say 1/12 and 5/12) the
-                # product-form bound can lose even though all values are small.
-                below_half = ZERO < w and z < half and w == z
                 per_point = 2 + at_one + below_half
                 for point in points:
                     report.checks += per_point
-                    if rsi[point] != outer:
+                    r, i, f = rsi[point], independent[point], frechet[point]
+                    if r.numerator != outer_num or r.denominator != outer_den:
                         detail = "random-set outer bound has the wrong pointwise form"
-                    elif independent[point] > frechet[point]:
+                    elif i.numerator * f.denominator > f.numerator * i.denominator:
                         detail = "independent joint exceeds the Fréchet joint"
-                    elif at_one and rsi[point] > independent[point]:
+                    elif at_one and r.numerator * i.denominator > i.numerator * r.denominator:
                         detail = "random-set bound looser than independent at a value-1 point"
-                    elif below_half and not independent[point] < rsi[point]:
+                    elif below_half and not i.numerator * r.denominator < r.numerator * i.denominator:
                         detail = "independent bound not strictly tighter below 1/2"
                     else:
                         continue

@@ -14,6 +14,7 @@ from possbox import (
     joint_rsi_outer,
     least_conservative_check,
 )
+from possbox.multivariate import _build_joint
 from possbox.verify import _canonical_marginals
 
 
@@ -282,3 +283,63 @@ def test_rectangle_values_with_ties_and_zero():
     assert table[(half, 1, 1)] == 6 * 6
     assert table[(0, 0, 1)] == 1
     assert len(table) == 3 * 2 * 1
+
+
+#: Marginals mixing thirds, sevenths, a decimal and large coprime denominators,
+#: with ties so that vectors hold several points.
+MIXED_MARGINALS = (
+    PossibilityDistribution({"a": "1/3", "b": "2/7", "c": "1", "d": "1/3"}),
+    PossibilityDistribution({"s": "0.15", "t": "1", "u": "999999937/1000000007", "v": "0.15"}),
+    PossibilityDistribution(
+        {"x": "1/3", "y": "12345678901/2305843009213693951", "z": "1", "w": "999999937/1000000007"}
+    ),
+)
+MIXED_FAMILIES = [
+    MarginalFamily(chosen) for n in (1, 2, 3) for chosen in product(MIXED_MARGINALS, repeat=n)
+]
+
+
+def _point_values(family, point):
+    return [pi[x] for pi, x in zip(family.marginals, point)]
+
+
+@pytest.mark.parametrize("family", MIXED_FAMILIES, ids=lambda family: f"n{family.n}")
+def test_joints_on_mixed_denominators_match_a_per_point_reference(family):
+    n = family.n
+    frechet, independent, rsi = joint_frechet(family), joint_independent(family), joint_rsi_outer(family)
+    canonical_for_both = True
+    for point in family.points():
+        values = _point_values(family, point)
+        assert frechet[point] == max(values)
+        assert independent[point] == max(values) ** n
+        assert rsi[point] == 1 - (1 - min(values)) ** n
+        canonical_for_both = canonical_for_both and max(values) == max(values) ** n
+    assert least_conservative_check(family, frechet, "frechet")
+    assert least_conservative_check(family, independent, "independent")
+    assert least_conservative_check(family, frechet, "independent") == canonical_for_both
+    assert least_conservative_check(family, independent, "frechet") == canonical_for_both
+    assert canonical_for_both == (n == 1)
+
+
+def _constructor_message(values):
+    with pytest.raises(ValueError) as raised:
+        PossibilityDistribution(values)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "family", [family for family in MIXED_FAMILIES if family.n > 1], ids=lambda family: f"n{family.n}"
+)
+def test_build_joint_checks_each_value_with_the_constructor_messages(family):
+    above = Fraction(3, 2)
+    # The first vector with w < z holds the first 3/2, at its first point.
+    label = next(points[0] for _, z, w, points in family.extremes() if w < z)
+    with pytest.raises(ValueError) as raised:
+        _build_joint(family, lambda z, w: above if w < z else z)
+    assert str(raised.value) == _constructor_message({label: above})
+    assert str(raised.value).startswith("value 3/2 for ")
+
+    halved = {point: max(_point_values(family, point)) / 2 for point in family.points()}
+    with pytest.raises(ValueError) as raised:
+        _build_joint(family, lambda z, w: z / 2)
+    assert str(raised.value) == _constructor_message(halved) == "a possibility distribution must attain the value 1"

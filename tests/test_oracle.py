@@ -146,15 +146,26 @@ def test_phase_two_starts_from_the_last_optimum(regions_built, pivots):
 def test_warm_optima_equal_cold_on_every_event():
     boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
     boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
+    events = 0
     for box in boxes:
         n = sum(len(cls) for cls in box.chain.classes)
         objectives = [[1 if k in subset else 0 for k in range(n)] for subset in class_subsets(n)]
+        events += len(objectives)
         constraints = oracle._box_region(box).constraints
-        cold = [simplex_max(n, constraints, objective) for objective in objectives]
+        # Cold references from one region sent back to its phase-1 basis before
+        # each solve, which is where a fresh region starts.
+        cold_region = oracle.Region(n, constraints)
+        phase_one = cold_region.start
+        cold = []
+        for objective in objectives:
+            cold_region.start = phase_one
+            cold.append(simplex_max(n, constraints, objective, region=cold_region))
+        assert simplex_max(n, constraints, objectives[-1]) == cold[-1]
         region = oracle.Region(n, constraints)
         for order in (range(len(objectives)), reversed(range(len(objectives)))):
             for k in order:
                 assert simplex_max(n, constraints, objectives[k], region=region) == cold[k]
+    assert events == 12462
 
 
 def test_regions_answer_in_any_order(p1, p2, q):

@@ -410,3 +410,43 @@ def test_each_failure_site_records_its_counterexample(monkeypatch, capsys, suite
     counterexample = payload["counterexample"]
     assert list(counterexample) == keys
     assert counterexample.get("detail") == detail
+
+
+#: A family of the grid-2 sweep whose vector (1/2, 1/2) has two points, e1|e0 and e1|e1.
+SHARED_VECTOR_FAMILY = [{"e0": "0", "e1": "1/2", "e2": "1"}, {"e0": "1/2", "e1": "1/2", "e2": "1"}]
+
+
+@pytest.mark.parametrize(
+    "name, detail, reported_point",
+    [
+        ("joint_frechet", "Fréchet joint fails its least-conservative check", None),
+        ("joint_independent", "independent joint fails its least-conservative check", None),
+        ("joint_rsi_outer", "random-set outer bound has the wrong pointwise form", ["e1", "e1"]),
+    ],
+)
+def test_every_point_of_every_joint_is_read(monkeypatch, name, detail, reported_point):
+    # One value changed at the second point of a vector shared by two points
+    # must fail the sweep: no read stands for the other points of its vector.
+    right = getattr(verify, name)
+    point = ("e1", "e1")
+    changed = []
+
+    def changed_at_one_point(family):
+        joint = right(family)
+        if verify._marginals_document(family) != SHARED_VECTOR_FAMILY:
+            return joint
+        shared = [points for points in (list(points) for _, points in family.vectors()) if point in points]
+        assert shared == [[("e1", "e0"), point]]
+        values = dict(joint.items())
+        values[point] /= 2
+        changed.append(point)
+        return PossibilityDistribution(values)
+
+    monkeypatch.setattr(verify, name, changed_at_one_point)
+    report = suite_multivariate(max_size=3, grid_den=2, marginal_counts=(2,))
+    assert changed == [point]
+    assert not report.ok
+    counterexample = report.counterexample
+    assert counterexample["marginals"] == SHARED_VECTOR_FAMILY
+    assert counterexample["detail"] == detail
+    assert counterexample.get("point") == reported_point
