@@ -10,14 +10,13 @@ least-conservative check relate the first two joints to the bounds they are
 meant to dominate.
 
 Every joint value, and every rectangle's combined bound, depends on a point
-or a rectangle only through its vector of marginal values.  A
-:class:`MarginalFamily` groups each marginal's labels by value once, and
-:meth:`MarginalFamily.vectors` lists each such vector with the product
-points that have it.  :meth:`MarginalFamily.extremes` adds each vector's
-largest value ``z`` and smallest value ``w``, worked out once per family:
-the three joints, :func:`least_conservative_check` and the ``multivariate``
-verification suite all read that one table.  A joint works out its value
-once per vector and checks each distinct value once.
+or a rectangle only through its vector of marginal values.
+:meth:`MarginalFamily.vectors` lists each such vector with its largest
+value ``z``, its smallest value ``w`` and the product points that have it,
+in one table built on the first call: the three joints,
+:func:`least_conservative_check` and the ``multivariate`` verification
+suite all read that table.  A joint works out its value once per vector and
+checks each distinct value once.
 """
 
 from __future__ import annotations
@@ -43,21 +42,18 @@ class MarginalFamily:
     """An ordered family of marginal possibility distributions.
 
     Domains are kept in a deterministic (sorted) order so that product
-    points enumerate identically across runs.  Each marginal's labels are
-    also grouped by value once, here: ``levels[i]`` lists marginal ``i``'s
-    distinct values in ascending order, each with its labels in domain
-    order.
+    points enumerate identically across runs.  Building a family visits no
+    product point; :meth:`vectors` does, once.
     """
 
-    __slots__ = ("marginals", "domains", "levels", "_extremes")
+    __slots__ = ("marginals", "domains", "_vectors")
 
     def __init__(self, marginals: Iterable[PossibilityDistribution]):
         self.marginals = tuple(marginals)
         if not self.marginals:
             raise ValueError("a marginal family needs at least one marginal")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
-        self.levels = tuple(value_levels(m, domain) for m, domain in zip(self.marginals, self.domains))
-        self._extremes = None
+        self._vectors = None
 
     @property
     def n(self) -> int:
@@ -67,43 +63,32 @@ class MarginalFamily:
         """All product points, in deterministic order."""
         return product(*self.domains)
 
-    def vectors(self) -> Iterator[tuple[tuple[Fraction, ...], Iterator[tuple]]]:
-        """Each vector of coordinate values, with the product points that have it.
-
-        Vectors come in lexicographic order, each component running over
-        its marginal's distinct values in ascending order; a vector's points
-        come in :meth:`points` order.  Together the points are every product
-        point, each once.  The points are an iterator, read once.
-
-        >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1, "w": "1/2"})
-        >>> pi2 = PossibilityDistribution({"s": 1})
-        >>> for values, points in MarginalFamily([pi1, pi2]).vectors():
-        ...     print([str(v) for v in values], list(points))
-        ['1/2', '1'] [('u', 's'), ('w', 's')]
-        ['1', '1'] [('v', 's')]
-        """
-        for combo in product(*self.levels):
-            yield tuple(v for v, _ in combo), product(*(labels for _, labels in combo))
-
-    def extremes(self) -> tuple[tuple[tuple[Fraction, ...], Fraction, Fraction, tuple[tuple, ...]], ...]:
-        """Each vector of :meth:`vectors` as ``(values, z, w, points)``.
+    def vectors(self) -> tuple[tuple[tuple[Fraction, ...], Fraction, Fraction, tuple[tuple, ...]], ...]:
+        """Each vector of coordinate values as ``(values, z, w, points)``.
 
         ``z`` and ``w`` are the largest and the smallest of ``values``, and
-        ``points`` is the vector's points as a tuple.  The table is worked
-        out on the first call and kept; later calls return it unchanged.
+        ``points`` the product points that have the vector, in
+        :meth:`points` order; together the points are every product point,
+        each once.  Vectors come in lexicographic order, each component
+        running over its marginal's distinct values in ascending order.  The
+        table is built on the first call, which groups each marginal's
+        labels by value; later calls return the same table.
 
-        >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1})
+        >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1, "w": "1/2"})
         >>> pi2 = PossibilityDistribution({"s": "3/10", "t": 1})
-        >>> for values, z, w, points in MarginalFamily([pi1, pi2]).extremes()[:2]:
-        ...     print(str(z), str(w), points)
-        1/2 3/10 (('u', 's'),)
-        1 1/2 (('u', 't'),)
+        >>> for values, z, w, points in MarginalFamily([pi1, pi2]).vectors()[:2]:
+        ...     print([str(v) for v in values], str(z), str(w), points)
+        ['1/2', '3/10'] 1/2 3/10 (('u', 's'), ('w', 's'))
+        ['1/2', '1'] 1 1/2 (('u', 't'), ('w', 't'))
         """
-        if self._extremes is None:
-            self._extremes = tuple(
-                (values, max(values), min(values), tuple(points)) for values, points in self.vectors()
-            )
-        return self._extremes
+        if self._vectors is None:
+            table = []
+            for combo in product(*map(value_levels, self.marginals, self.domains)):
+                values = tuple(v for v, _ in combo)
+                points = tuple(product(*(labels for _, labels in combo)))
+                table.append((values, max(values), min(values), points))
+            self._vectors = tuple(table)
+        return self._vectors
 
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
@@ -116,7 +101,7 @@ def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
     """
     values = dict.fromkeys(family.points())
     distinct: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
-    for _, z, w, points in family.extremes():
+    for _, z, w, points in family.vectors():
         value = score(z, w)
         for point in points:
             values[point] = value
@@ -224,7 +209,7 @@ def least_conservative_check(
     if set(family.points()) != joint.labels:
         raise ValueError("joint does not live on this family's product space")
 
-    for _, z, _, points in family.extremes():
+    for _, z, _, points in family.vectors():
         canonical = z if rule == "frechet" else z**n
         num, den = canonical.numerator, canonical.denominator
         for point in points:

@@ -12,10 +12,11 @@ pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
 integer numerator over one common denominator and no ``Fraction`` is built
 until the optimum is returned.  Callers ask many objectives over one
 region (every event of one box): a :class:`Region` runs phase 1 once, when
-built, and each call given it runs phase 2 alone, starting from the last
-optimal basis found on that region.  Any basis of the region is feasible
-for every objective, Bland's rule terminates from it and the optimal value
-is unique, so answers never depend on call order; only pivot counts do.
+built, and keeps one basis, its ``start``.  Each call given the region runs
+phase 2 alone from ``start`` and stores its optimal basis there.  Any basis
+of the region is feasible for every objective, Bland's rule terminates from
+it and the optimal value is unique, so answers never depend on call order;
+only pivot counts do.
 The credal routines keep the last box's region in one slot, keyed on the
 box's identity (a box is immutable and exact).
 
@@ -58,20 +59,19 @@ class Infeasible(Exception):
 class Region:
     """A linear system's rows, as given and read once through ``exact``, and its phase 1.
 
-    ``tableau`` is a feasible basis (``None`` if the region is empty): integer
-    numerators over the common denominator ``d > 0``, artificial columns
-    removed, the right-hand side last, ``basis`` its basic columns.  ``width``
-    counts the structural and slack columns.  ``start`` is the
-    ``(tableau, basis, d)`` phase 2 starts from (``None`` if the region is
-    empty): the phase-1 basis until :func:`simplex_max` stores the last
-    optimum found on the region.  Rows are never mutated in place, so a
-    copy of the outer sequence is a copy of the tableau.
+    ``start`` is the feasible basis phase 2 starts from, ``None`` if the
+    region is empty: a ``(tableau, basis, d)`` triple whose tableau holds
+    integer numerators over the common denominator ``d > 0``, artificial
+    columns removed and the right-hand side last, with ``basis`` its basic
+    columns.  It is phase 1's basis until :func:`simplex_max` stores the
+    last optimum found on the region.  ``width`` counts the structural and
+    slack columns.  Rows are never mutated in place, so a copy of the outer
+    sequence is a copy of the tableau.
     """
 
     def __init__(self, num_vars: int, constraints: Iterable[Row]):
         self.num_vars = num_vars
         self.constraints = tuple(constraints)
-        self.tableau, self.basis, self.d = None, (), 1
         self.start = None
         scaled: list[tuple[list[int], str, int]] = []
         for coeffs, sense, rhs in self.constraints:
@@ -131,8 +131,7 @@ class Region:
                     d = _pivot(tableau, basis, i, j, d)
                 i += 1
             tableau = [row[:art_start] + [row[-1]] for row in tableau]
-        self.tableau, self.basis, self.d = tuple(tableau), tuple(basis), d
-        self.start = (self.tableau, self.basis, d)
+        self.start = (tuple(tableau), tuple(basis), d)
 
 
 def simplex_max(
@@ -163,7 +162,7 @@ def simplex_max(
     costs = [c if isinstance(c, Fraction) else exact(c) for c in objective]
     if len(costs) > num_vars:
         raise ValueError("objective width exceeds the variable count")
-    if region.tableau is None:
+    if region.start is None:
         raise Infeasible
     scale = lcm(*(c.denominator for c in costs))
     cost = [c.numerator * (scale // c.denominator) for c in costs]
@@ -288,7 +287,7 @@ def _box_region(box: PBox) -> Region:
             rows.append((prefix, ">=", box.lower_cdf[i]))
     rows.append(([ONE] * n, "==", ONE))
     region = Region(n, rows)
-    if region.tableau is None:  # pragma: no cover - valid boxes always admit a distribution
+    if region.start is None:  # pragma: no cover - valid boxes always admit a distribution
         raise RuntimeError("credal set of a valid probability box came up empty")
     _slot = (box, region)
     return region

@@ -22,11 +22,22 @@ from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO, exact, shown
 
 
-_UNATTAINED = "a possibility distribution must attain the value 1"
+def _check_values(pairs: Iterable[tuple[Fraction, Hashable]]) -> None:
+    """Raise unless every value lies in ``[0, 1]`` and some value is 1.
 
-
-def _outside(q: Fraction, label: Hashable) -> ValueError:
-    return ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
+    ``pairs`` gives each value with a label holding it; the first value
+    outside ``[0, 1]`` raises, naming its label.
+    """
+    attained = False
+    for q, label in pairs:
+        # Integer comparisons: a Fraction's denominator is positive, and its
+        # value is 1 exactly when numerator and denominator agree.
+        if not 0 <= q.numerator <= q.denominator:
+            raise ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
+        if q.numerator == q.denominator:
+            attained = True
+    if not attained:
+        raise ValueError("a possibility distribution must attain the value 1")
 
 
 class PossibilityDistribution:
@@ -49,18 +60,9 @@ class PossibilityDistribution:
         if not values:
             raise ValueError("a possibility distribution needs a non-empty domain")
         converted: dict[Hashable, Fraction] = {}
-        attained = False
-        for label, raw in values.items():
-            q = exact(raw)
-            # Integer comparisons: a Fraction's denominator is positive, and
-            # its value is 1 exactly when numerator and denominator agree.
-            if not 0 <= q.numerator <= q.denominator:
-                raise _outside(q, label)
-            converted[label] = q
-            if q.numerator == q.denominator:
-                attained = True
-        if not attained:
-            raise ValueError(_UNATTAINED)
+        # Each value is checked just after it is converted, so the first label
+        # in the caller's order with either fault is the one named.
+        _check_values((converted.setdefault(label, exact(raw)), label) for label, raw in values.items())
         self._values = converted
 
     @classmethod
@@ -71,17 +73,10 @@ class PossibilityDistribution:
 
         ``values`` maps every label to a :class:`Fraction` already, and
         ``levels`` pairs each distinct value among them with one label
-        holding it.  The checks and their messages are the constructor's,
-        naming the label ``levels`` gives.
+        holding it.  The constructor's checks run on those pairs, with its
+        messages, naming the label ``levels`` gives.
         """
-        attained = False
-        for q, label in levels:
-            if not 0 <= q.numerator <= q.denominator:
-                raise _outside(q, label)
-            if q.numerator == q.denominator:
-                attained = True
-        if not attained:
-            raise ValueError(_UNATTAINED)
+        _check_values(levels)
         pi = cls.__new__(cls)
         pi._values = values
         return pi

@@ -398,7 +398,7 @@ def suite_multivariate(
       compares each joint with ``z`` or ``z ** n`` at every product point),
       counted as one check per call and one per point it compares;
     * one pass over the family's vectors of coordinate values
-      (:meth:`~possbox.multivariate.MarginalFamily.extremes`), where every
+      (:meth:`~possbox.multivariate.MarginalFamily.vectors`), where every
       expected value comes from a table local to the call, with one entry
       per distinct vector across all families, keyed on the vector's
       numerator and denominator pairs:
@@ -446,7 +446,7 @@ def suite_multivariate(
                 )
 
             report.checks += prod(2 ** len(domain) - 1 for domain in family.domains)
-            for values, z, w, points in family.extremes():
+            for values, z, w, points in family.vectors():
                 key = tuple((v.numerator, v.denominator) for v in values)
                 entry = expected.get(key)
                 if entry is None:

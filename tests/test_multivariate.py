@@ -237,7 +237,7 @@ def test_rectangle_values_match_enumeration_on_the_suite_pool():
     for chosen in product(pool, repeat=2):
         family = MarginalFamily(chosen)
         table = _brute_force_rectangle_values(family)
-        assert set(table) == {values for values, _ in family.vectors()}
+        assert set(table) == {values for values, *_ in family.vectors()}
         assert sum(table.values()) == _rectangle_count(family)
 
 
@@ -245,12 +245,13 @@ def test_vectors_partition_the_product_points_on_the_suite_pool():
     pool = _canonical_marginals(3, 4)
     for chosen in product(pool, repeat=2):
         family = MarginalFamily(chosen)
-        grouped = [(values, list(points)) for values, points in family.vectors()]
-        seen = [point for _, points in grouped for point in points]
+        table = family.vectors()
+        assert family.vectors() is table
+        seen = [point for *_, points in table for point in points]
         assert sorted(seen) == sorted(family.points())
         assert len(seen) == len(set(seen))
-        for values, points in grouped:
-            assert points
+        for values, z, w, points in table:
+            assert points and (z, w) == (max(values), min(values))
             for point in points:
                 assert tuple(m[x] for m, x in zip(family.marginals, point)) == values
 
@@ -262,9 +263,16 @@ def test_vectors_match_the_rectangle_vectors():
             PossibilityDistribution({"t": "1", "s": "0", "u": "1"}),
         ]
     )
-    vectors = [values for values, _ in family.vectors()]
+    vectors = [values for values, *_ in family.vectors()]
     assert vectors == sorted(_brute_force_rectangle_values(family))
-    assert [list(points) for _, points in family.vectors()][2] == [("b", "s"), ("c", "s")]
+    assert family.vectors()[2][3] == (("b", "s"), ("c", "s"))
+
+
+def test_building_a_family_visits_no_product_point():
+    # 2**40 product points: only vectors(), joints and their checks visit them.
+    family = MarginalFamily([PossibilityDistribution({"a": "1/2", "b": 1})] * 40)
+    assert family.n == 40
+    assert combine_rectangle(family, [{"a"}] * 40, "frechet") == Fraction(1, 2)
 
 
 def test_rectangle_values_with_ties_and_zero():
@@ -276,7 +284,7 @@ def test_rectangle_values_with_ties_and_zero():
         ]
     )
     table = _brute_force_rectangle_values(family)
-    assert set(table) == {values for values, _ in family.vectors()}
+    assert set(table) == {values for values, *_ in family.vectors()}
     assert sum(table.values()) == _rectangle_count(family) == 15 * 7
     half = Fraction(1, 2)
     # 1/2 is the top of the events {b}, {c}, {b, c} and the same three with a.
@@ -333,7 +341,7 @@ def _constructor_message(values):
 def test_build_joint_checks_each_value_with_the_constructor_messages(family):
     above = Fraction(3, 2)
     # The first vector with w < z holds the first 3/2, at its first point.
-    label = next(points[0] for _, z, w, points in family.extremes() if w < z)
+    label = next(points[0] for _, z, w, points in family.vectors() if w < z)
     with pytest.raises(ValueError) as raised:
         _build_joint(family, lambda z, w: above if w < z else z)
     assert str(raised.value) == _constructor_message({label: above})

@@ -60,7 +60,8 @@ def test_simplex_redundant_equalities():
 
 def test_phase_one_drops_a_redundant_equality_row():
     region = oracle.Region(2, [((1, 1), "==", 1), ((2, 2), "==", 2)])
-    assert len(region.tableau) == len(region.basis) == 1
+    tableau, basis, _ = region.start
+    assert len(tableau) == len(basis) == 1
     assert region.width == 2
 
 
@@ -69,7 +70,8 @@ def test_phase_one_cleanup_pivots_on_a_negative_entry():
     # clean-up pivot on the -1 negates the tableau to keep d positive.
     rows = [([-1, 0], "==", 0), ([1, 1], "<=", 1)]
     region = oracle.Region(2, rows)
-    assert 0 in region.basis and region.d > 0
+    _, basis, d = region.start
+    assert 0 in basis and d > 0
     for objective, optimum in (([1, 1], 1), ([1, 0], 0), ([Fraction(-1, 2), 3], 3)):
         assert simplex_max(2, rows, objective) == optimum
         assert simplex_max(2, rows, objective, region=region) == optimum
@@ -209,7 +211,7 @@ def test_a_region_answers_only_for_its_own_rows():
     with pytest.raises(ValueError):
         simplex_max(1, [([1.0], "<=", 0.5)], [1], region=region)
     empty = oracle.Region(1, [([1], "<=", Fraction(1, 3)), ([1], ">=", Fraction(1, 2))])
-    assert empty.tableau is None
+    assert empty.start is None
     with pytest.raises(Infeasible):
         simplex_max(1, empty.constraints, [1], region=empty)
 

@@ -34,6 +34,12 @@ def test_distribution_validation():
         PossibilityDistribution({"c": "-1/3", "a": "1", "b": "3/2"})
     with pytest.raises(ValueError):
         PossibilityDistribution({"a": 0.5, "b": 1})
+    # Each value is checked as it is read: the first label with either fault
+    # in the caller's order is the one named, whichever the fault.
+    with pytest.raises(ValueError, match=r"^value 2 for 'a' outside \[0, 1\]$"):
+        PossibilityDistribution({"a": "2", "b": "x"})
+    with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
+        PossibilityDistribution({"a": "x", "b": "2"})
 
 
 def test_distribution_queries():

@@ -435,7 +435,7 @@ def test_every_point_of_every_joint_is_read(monkeypatch, name, detail, reported_
         joint = right(family)
         if verify._marginals_document(family) != SHARED_VECTOR_FAMILY:
             return joint
-        shared = [points for points in (list(points) for _, points in family.vectors()) if point in points]
+        shared = [points for points in (list(points) for *_, points in family.vectors()) if point in points]
         assert shared == [[("e1", "e0"), point]]
         values = dict(joint.items())
         values[point] /= 2
