@@ -33,11 +33,9 @@ class Chain:
     >>> chain = Chain([["a"], ["b"], ["c"]])
     >>> chain.m
     3
-    >>> chain.compare("a", "c")
-    -1
     >>> tied = Chain([["low", "also_low"], ["high"]])
-    >>> tied.compare("low", "also_low")
-    0
+    >>> tied.index_of("low") == tied.index_of("also_low")
+    True
     """
 
     __slots__ = ("classes", "_index")
@@ -85,15 +83,6 @@ class Chain:
         except KeyError:
             raise ValueError(f"unknown label {shown(repr(label))}") from None
 
-    def compare(self, x: Label, y: Label) -> int:
-        """Trichotomous order query.
-
-        Returns ``-1`` if ``x`` lies strictly below ``y``, ``0`` if the two
-        are equivalent, and ``1`` if ``x`` lies strictly above ``y``.
-        """
-        ix, iy = self.index_of(x), self.index_of(y)
-        return (ix > iy) - (ix < iy)
-
     # ------------------------------------------------------------- events
 
     def event(self, labels: Iterable[Label]) -> frozenset[Label]:
@@ -135,7 +124,17 @@ class Chain:
         >>> chain.minimal_cover([]).runs
         ()
         """
-        return IntervalUnion._from_sorted_indices(self.m, self.classes_hit(labels))
+        runs: list[tuple[int, int]] = []
+        start = prev = None
+        for i in self.classes_hit(labels):
+            if i - 1 != prev:
+                if start is not None:
+                    runs.append((start - 1, prev))
+                start = i
+            prev = i
+        if start is not None:
+            runs.append((start - 1, prev))
+        return IntervalUnion(self.m, tuple(runs))
 
     # ----------------------------------------------------------- protocol
 
@@ -174,40 +173,11 @@ class IntervalUnion:
                 raise ValueError("runs must be sorted and separated by at least one class")
             prev_right = right
 
-    @classmethod
-    def from_class_indices(cls, m: int, indices: Iterable[int]) -> "IntervalUnion":
-        """Canonical union covering exactly the given class indices.
-
-        >>> IntervalUnion.from_class_indices(4, [0, 1, 3]).runs
-        ((-1, 1), (2, 3))
-        """
-        seen = sorted(set(indices))
-        if seen and not (0 <= seen[0] and seen[-1] < m):
-            bad = next(i for i in seen if not 0 <= i < m)
-            raise ValueError(f"class index {bad} out of range for m={m}")
-        return cls._from_sorted_indices(m, seen)
-
-    @classmethod
-    def _from_sorted_indices(cls, m: int, indices: Iterable[int]) -> "IntervalUnion":
-        """:meth:`from_class_indices` for ascending, distinct, in-range indices."""
-        runs: list[tuple[int, int]] = []
-        start = prev = None
-        for i in indices:
-            if i - 1 != prev:
-                if start is not None:
-                    runs.append((start - 1, prev))
-                start = i
-            prev = i
-        if start is not None:
-            runs.append((start - 1, prev))
-        return cls(m, tuple(runs))
-
 
 def class_subsets(m: int) -> list[tuple[int, ...]]:
     """All subsets of the indices ``0..m-1``, in bitmask order (empty set first).
 
-    The subset at position ``mask`` holds the set bits of ``mask``: the union
-    of the subsets at ``a`` and ``b`` sits at ``a | b``, and the complement of
-    the ``k``-th subset is the ``k``-th from the end.
+    The subset at position ``mask`` holds the set bits of ``mask``, so the
+    union of the subsets at ``a`` and ``b`` sits at ``a | b``.
     """
     return [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]

@@ -360,9 +360,9 @@ def exhaustive_max_preserving(box: PBox, upper: ClassUpper | None = None) -> boo
     classes share their upper probability, so this covers all event pairs),
     each union indexed by its bitmask over the class indices.
     ``upper`` receives the union as a sorted index tuple and defaults to
-    the LP oracle; pass ``lambda box, subset: box.upper_of_classes(subset)``
-    to check the closed-form route instead.  Refuses a chain of more than
-    :data:`MAX_CLASSES` classes.
+    the LP oracle; pass one that reads :meth:`~possbox.pbox.PBox.upper` on
+    the labels of those classes to check the closed-form route instead.
+    Refuses a chain of more than :data:`MAX_CLASSES` classes.
     """
     m = box.m
     if m > MAX_CLASSES:

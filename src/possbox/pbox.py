@@ -152,14 +152,6 @@ class PBox:
         """
         return self.upper_on_union(self.chain.minimal_cover(event))
 
-    def upper_of_classes(self, indices: Iterable[int]) -> Fraction:
-        """Upper probability of a union of classes given by index.
-
-        Fast path used by the exhaustive sweeps; equivalent to :meth:`upper`
-        on the corresponding event.
-        """
-        return self.upper_on_union(IntervalUnion.from_class_indices(self.m, indices))
-
     def lower(self, event: Iterable[Label]) -> Fraction:
         """Natural-extension lower probability, by conjugacy.
 

@@ -139,37 +139,40 @@ def _within(suite: str, max_classes: int, ceiling: int) -> None:
 
 def _grid_boxes(
     report: SuiteReport, max_classes: int, grid_den: int
-) -> Iterator[tuple[PBox, list[tuple[int, ...]]]]:
-    """Every grid box on chains of 1 to ``max_classes`` classes, with the class subsets of its chain.
+) -> Iterator[tuple[PBox, list[tuple[tuple[int, ...], list[str]]]]]:
+    """Every grid box on chains of 1 to ``max_classes`` classes, with its chain's events.
 
-    Each box is counted as one case of ``report`` before it is yielded.
+    The events are ``(class subset, labels)`` pairs in :func:`class_subsets`
+    order, built once per chain size.  Each box is counted as one case of
+    ``report`` before it is yielded.
     """
     for m in range(1, max_classes + 1):
-        subsets = class_subsets(m)
+        events = [(subset, _event_labels(subset)) for subset in class_subsets(m)]
         for box in iter_grid_pboxes(m, grid_den):
             report.cases += 1
-            yield box, subsets
+            yield box, events
 
 
 def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
     """Closed-form upper values against the credal LP, plus coherence.
 
     For every chain size, every grid probability box, and every union of
-    classes: the formula value must equal the LP optimum.  The optima of the
-    down-sets ``[bottom, x]`` and up-sets ``(x, top]``, already computed, must
-    also reproduce the cumulative bounds themselves (:func:`check_coherence`).
+    classes: :meth:`~possbox.pbox.PBox.upper` on its labels must equal the
+    LP optimum.  The optima of the down-sets ``[bottom, x]`` and up-sets
+    ``(x, top]``, already computed, must also reproduce the cumulative
+    bounds themselves (:func:`check_coherence`).
     """
     report = SuiteReport("oracle")
-    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+    for box, events in _grid_boxes(report, max_classes, grid_den):
         optima = {}
-        for subset in subsets:
-            formula = box.upper_of_classes(subset)
+        for subset, event in events:
+            formula = box.upper(event)
             optimum = optima[subset] = credal_upper_classes(box, subset)
             report.checks += 1
             if formula != optimum:
                 return report.fail(
                     document=pbox_document(box),
-                    event=_event_labels(subset),
+                    event=event,
                     closed_form=str(formula),
                     credal_optimum=str(optimum),
                 )
@@ -193,7 +196,7 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
     """
     _within("maxitive", max_classes, oracle.MAX_CLASSES)
     report = SuiteReport("maxitive")
-    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+    for box, events in _grid_boxes(report, max_classes, grid_den):
         decided = is_maxitive(box)
         semantic = exhaustive_max_preserving(box)
         report.checks += 1
@@ -209,9 +212,8 @@ def suite_maxitive(max_classes: int = 4, grid_den: int = 4) -> SuiteReport:
             forms.append(("upper_01_both", upper_01_both))
         if not forms:
             continue
-        for subset in subsets:
-            general = box.upper_of_classes(subset)
-            event = _event_labels(subset)
+        for _, event in events:
+            general = box.upper(event)
             for name, form in forms:
                 report.checks += 1
                 special = form(box, event)
@@ -283,7 +285,7 @@ def suite_roundtrip(
                     possibility=str(possibility),
                 )
 
-    for box, subsets in _grid_boxes(report, 3, grid_den=4):
+    for box, events in _grid_boxes(report, 3, grid_den=4):
         pi = pbox_to_possibility(box)
         maxitive = is_maxitive(box)
         report.checks += 1
@@ -291,10 +293,9 @@ def suite_roundtrip(
             return report.fail(document=pbox_document(box), is_maxitive=maxitive, converted=pi is not None)
         if pi is None:
             continue
-        for subset in subsets:
-            event = _event_labels(subset)
+        for _, event in events:
             possibility = pi.measure(event)
-            upper = box.upper_of_classes(subset)
+            upper = box.upper(event)
             report.checks += 1
             if possibility != upper:
                 return report.fail(
@@ -319,15 +320,16 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
 
     For every grid box the credal set must equal the intersection of the
     two decomposed possibility measures' credal sets (checked by LP); the
-    approximate bounds must sandwich the exact ones on every event; and on
-    every interval ``(x, y]`` the upper slack must equal
-    ``min(lower(x), 1 - upper(y))``.  Refuses more classes than the
+    approximate bounds must sandwich the exact ones
+    (:meth:`~possbox.pbox.PBox.lower` and :meth:`~possbox.pbox.PBox.upper`)
+    on every event; and on every interval ``(x, y]`` the upper slack must
+    equal ``min(lower(x), 1 - upper(y))``.  Refuses more classes than the
     credal identity check enumerates elements
     (:data:`~possbox.oracle.MAX_ELEMENTS`; each class is one element).
     """
     _within("conjunction", max_classes, oracle.MAX_ELEMENTS)
     report = SuiteReport("conjunction")
-    for box, subsets in _grid_boxes(report, max_classes, grid_den):
+    for box, events in _grid_boxes(report, max_classes, grid_den):
         pi_lower, pi_upper = conjunction_decompose(box)
         report.checks += 1
         if not credal_intersection_equal(box, pi_lower, pi_upper):
@@ -335,12 +337,9 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
                 document=pbox_document(box),
                 detail="credal set differs from the intersection of the decomposition",
             )
-        # In bitmask order the complement of the k-th subset is the k-th from the end.
-        for subset, complement in zip(subsets, reversed(subsets)):
-            event = _event_labels(subset)
+        for _, event in events:
             approx_lo, approx_up = conjunction_bounds(box, event)
-            exact_up = box.upper_of_classes(subset)
-            exact_lo = ONE - box.upper_of_classes(complement)
+            exact_lo, exact_up = box.lower(event), box.upper(event)
             report.checks += 1
             if not (approx_lo <= exact_lo <= exact_up <= approx_up):
                 return report.fail(
@@ -351,10 +350,9 @@ def suite_conjunction(max_classes: int = 3, grid_den: int = 4) -> SuiteReport:
                 )
         for ix in range(box.m - 1):
             for iy in range(ix + 1, box.m):
-                subset = tuple(range(ix + 1, iy + 1))
-                event = _event_labels(subset)
+                event = _event_labels(range(ix + 1, iy + 1))
                 _, approx_up = conjunction_bounds(box, event)
-                slack = approx_up - box.upper_of_classes(subset)
+                slack = approx_up - box.upper(event)
                 expected = min(box.lower_cdf[ix], ONE - box.upper_cdf[iy])
                 report.checks += 1
                 if slack != expected:
@@ -507,11 +505,12 @@ def run_suite(name: str, max_classes: int | None = None, grid_den: int | None = 
     the value grid.  Only the knobs given are passed on, so ``None`` leaves
     the suite's own default in force.  A value below 1, or a ``max_classes``
     past the ceiling of the ``maxitive`` or ``conjunction`` suite, raises
-    ``ValueError`` before any instance is built.
+    ``ValueError`` before any instance is built; a value below 1 is named
+    by the command line's flag for its knob.
     """
-    for knob, value in (("max_classes", max_classes), ("grid_den", grid_den)):
+    for flag, value in (("--max-classes", max_classes), ("--grid", grid_den)):
         if value is not None and value < 1:
-            raise ValueError(f"{knob} must be at least 1 (got {value})")
+            raise ValueError(f"{flag} must be at least 1 (got {value})")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (expected one of {sorted(SUITES)})")
     suite, size_keyword = SUITES[name]

@@ -44,6 +44,11 @@ def cover_classes(cover):
     return tuple(i for left, right in cover.runs for i in range(left + 1, right + 1))
 
 
+def class_upper(box, subset):
+    """:meth:`PBox.upper` on the labels of the classes with index in ``subset``."""
+    return box.upper(frozenset().union(*(box.chain.classes[i] for i in subset)))
+
+
 def every_event(labels):
     """Every event over ``labels``: the subsets of the sorted labels in :func:`class_subsets` order."""
     listed = sorted(labels)

@@ -9,14 +9,10 @@ def test_chain_basic_queries(chain3):
     assert chain3.m == 3
     assert chain3.labels == frozenset({"a", "b", "c"})
     assert chain3.index_of("b") == 1
-    assert chain3.compare("a", "c") == -1
-    assert chain3.compare("c", "a") == 1
-    assert chain3.compare("b", "b") == 0
 
 
 def test_chain_ties_share_a_class():
     tied = Chain([["a", "b"], ["c"]])
-    assert tied.compare("a", "b") == 0
     assert tied.index_of("a") == tied.index_of("b") == 0
     assert tied.classes_hit({"a"}) == (0,)
     assert tied.classes_hit({"b", "c"}) == (0, 1)
@@ -89,36 +85,16 @@ def test_interval_union_validation():
         IntervalUnion(3, ((SENTINEL, 0), (0, 2)))
 
 
-def test_interval_union_from_class_indices():
-    union = IntervalUnion.from_class_indices(5, [0, 1, 3])
-    assert union.runs == ((SENTINEL, 1), (2, 3))
-    assert cover_classes(union) == (0, 1, 3)
-    assert IntervalUnion.from_class_indices(5, [3, 1, 0, 1]) == union
-    assert IntervalUnion.from_class_indices(5, range(5)).runs == ((SENTINEL, 4),)
-    assert IntervalUnion.from_class_indices(5, [4, 2, 0]).runs == ((SENTINEL, 0), (1, 2), (3, 4))
-    assert IntervalUnion.from_class_indices(5, []).runs == ()
-
-
-def test_minimal_cover_runs_equal_from_class_indices_on_every_event():
+def test_minimal_cover_spans_exactly_the_classes_hit_on_every_event():
     chain = Chain([["a"], ["b", "b2"], ["c"], ["d"], ["e", "e2"]])
-    labels = sorted(chain.labels)
-    for mask in range(1 << len(labels)):
-        event = [label for k, label in enumerate(labels) if mask >> k & 1]
-        hit = chain.classes_hit(event)
-        cover = chain.minimal_cover(event)
-        assert cover == IntervalUnion.from_class_indices(chain.m, reversed(hit))
-        assert cover_classes(cover) == hit
-
-
-@pytest.mark.parametrize("indices, named", [([7, 5], 5), ([2, 6, -3], -3), ([-1, 9], -1)])
-def test_from_class_indices_names_the_lowest_index_out_of_range(indices, named):
-    with pytest.raises(ValueError, match=rf"^class index {named} out of range for m=4$"):
-        IntervalUnion.from_class_indices(4, indices)
+    for event in every_event(chain.labels):
+        assert cover_classes(chain.minimal_cover(event)) == chain.classes_hit(event)
+    assert chain.minimal_cover({"e2", "c", "a", "b"}).runs == ((SENTINEL, 2), (3, 4))
+    assert chain.minimal_cover({"a", "c", "e"}).runs == ((SENTINEL, 0), (1, 2), (3, 4))
 
 
 def test_class_subsets_come_in_bitmask_order():
-    # exhaustive_max_preserving reads unions at ``a | b`` and suite_conjunction
-    # pairs each subset with its complement through ``reversed``.
+    # exhaustive_max_preserving reads unions at ``a | b``.
     assert class_subsets(0) == [()]
     assert class_subsets(1) == [(), (0,)]
     assert class_subsets(2) == [(), (0,), (1,), (0, 1)]

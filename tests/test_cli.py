@@ -218,8 +218,7 @@ def test_verify_command(write_doc, capsys):
 def test_verify_rejects_sizes_below_one(capsys, flag, value):
     code, out, err = run(capsys, "verify", "--suite", "oracle", flag, value)
     assert (code, out) == (2, "")
-    knob = {"--max-classes": "max_classes", "--grid": "grid_den"}[flag]
-    assert err == f"error: {knob} must be at least 1 (got {value})\n"
+    assert err == f"error: {flag} must be at least 1 (got {value})\n"
 
 
 @pytest.mark.parametrize("suite, ceiling", [("maxitive", "MAX_CLASSES"), ("conjunction", "MAX_ELEMENTS")])

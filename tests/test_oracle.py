@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import every_event
+from conftest import class_upper, every_event
 
 from possbox import (
     Chain,
@@ -191,7 +191,7 @@ def test_regions_answer_in_any_order(p1, p2, q):
         # The box cache holds one region; switching boxes costs speed, not answers.
         for r, o in order:
             box, subset = boxes[r], tuple(i for i in range(3) if objectives[o][i] == 1)
-            assert oracle.credal_upper_classes(box, subset) == box.upper_of_classes(subset)
+            assert oracle.credal_upper_classes(box, subset) == class_upper(box, subset)
 
 
 def test_a_float_equal_to_a_solved_rational_is_refused():
@@ -368,9 +368,8 @@ def test_exhaustive_max_preserving(p1, p2):
     assert exhaustive_max_preserving(p1)
     assert not exhaustive_max_preserving(p2)
     # the closed-form route reaches the same verdicts
-    formula = lambda box, subset: box.upper_of_classes(subset)
-    assert exhaustive_max_preserving(p1, formula)
-    assert not exhaustive_max_preserving(p2, formula)
+    assert exhaustive_max_preserving(p1, class_upper)
+    assert not exhaustive_max_preserving(p2, class_upper)
 
 
 @pytest.fixture

@@ -105,7 +105,7 @@ def test_pbox_to_possibility_reads_only_the_cumulative_vectors(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("pbox_to_possibility evaluated an upper probability")
 
-    monkeypatch.setattr(PBox, "upper_of_classes", refuse)
+    monkeypatch.setattr(PBox, "upper", refuse)
     monkeypatch.setattr(PBox, "upper_on_union", refuse)
     m = 12
     chain = Chain([[f"x{i}"] for i in range(m)])

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from possbox import PossibilityDistribution, verify
+from possbox import PBox, PossibilityDistribution, verify
 from possbox.cli import main
 from possbox.multivariate import joint_frechet, joint_independent
 from possbox.possibility import conjunction_bounds, pbox_to_possibility, possibility_to_pbox
@@ -144,24 +144,39 @@ def test_run_suite_passes_only_the_knobs_set(name, suite, size_keyword):
 
 
 @pytest.mark.parametrize(
-    "suite, compared, reported",
-    [("oracle", "credal_upper_classes", "closed_form"), ("maxitive", "upper_01_lower", "general")],
+    "suite, owner, compared, command, reported",
+    [
+        pytest.param(
+            "oracle", verify, "credal_upper_classes", "upper", ("closed_form",),
+            id="oracle-credal_upper_classes-closed_form",
+        ),
+        pytest.param(
+            "maxitive", verify, "upper_01_lower", "upper", ("general",), id="maxitive-upper_01_lower-general"
+        ),
+        # The suites sweep the public routes themselves, so a wrong one is caught too.
+        pytest.param("oracle", PBox, "upper", "upper", ("closed_form",), id="oracle-PBox.upper-closed_form"),
+        pytest.param("conjunction", PBox, "lower", "lower", ("exact", 0), id="conjunction-PBox.lower-exact"),
+    ],
 )
 def test_a_wrong_answer_fails_with_a_replayable_counterexample(
-    monkeypatch, capsys, tmp_path, suite, compared, reported
+    monkeypatch, capsys, tmp_path, suite, owner, compared, command, reported
 ):
-    right = getattr(verify, compared)
-    monkeypatch.setattr(verify, compared, lambda *args: right(*args) + Fraction(1, 128))
+    right = getattr(owner, compared)
+    monkeypatch.setattr(owner, compared, lambda *args: right(*args) + Fraction(1, 128))
     assert main(["verify", "--suite", suite, "--max-classes", "2", "--grid", "2", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     counterexample = payload["counterexample"]
 
+    # Replayed through the same route, the event gets the answer the suite reported.
     path = tmp_path / "counterexample.json"
     path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
     event = ",".join(counterexample["event"])
-    assert main(["upper", "--input", str(path), "--event", event, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"upper": counterexample[reported]}
+    assert main([command, "--input", str(path), "--event", event, "--json"]) == 0
+    answer = counterexample
+    for key in reported:
+        answer = answer[key]
+    assert json.loads(capsys.readouterr().out) == {command: answer}
 
 
 def test_a_wrong_possibility_conversion_fails_with_a_replayable_counterexample(
