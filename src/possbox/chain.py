@@ -100,8 +100,31 @@ class Chain:
         return self.labels - self.event(labels)
 
     def classes_hit(self, labels: Iterable[Label]) -> tuple[int, ...]:
-        """Sorted indices of the classes an event intersects."""
-        return tuple(sorted({self.index_of(label) for label in labels}))
+        """Sorted indices of the classes an event intersects.
+
+        The first unknown label in the caller's order is the one reported.
+        """
+        try:
+            return tuple(sorted(set(map(self._index.__getitem__, labels))))
+        except KeyError as exc:
+            raise ValueError(f"unknown label {shown(repr(exc.args[0]))}") from None
+
+    def class_counts(self, labels: Iterable[Label]) -> list[int]:
+        """How many distinct labels of an event each class holds, by class index.
+
+        The event's complement meets class ``i`` exactly when the count is
+        below ``len(classes[i])``, so the complement's classes need no label
+        set.  The first unknown label in the caller's order is the one
+        reported.
+
+        >>> Chain([["a", "b"], ["c"]]).class_counts(["b", "b"])
+        [1, 0]
+        """
+        counts = [0] * self.m
+        index = self._index
+        for label in self.event(labels):
+            counts[index[label]] += 1
+        return counts
 
     def class_range_labels(self, lo: int, hi: int) -> frozenset[Label]:
         """Union of the classes with index in ``lo..hi`` (empty if lo > hi)."""

@@ -28,7 +28,7 @@ from typing import NoReturn, Sequence
 
 from possbox.chain import Chain
 from possbox.maxitive import is_maxitive
-from possbox.multivariate import JOINTS, MarginalFamily
+from possbox.multivariate import JOINTS, MAX_POINTS, MarginalFamily
 from possbox.oracle import MAX_CLASSES, MAX_ELEMENTS
 from possbox.pbox import PBox
 from possbox.possibility import (
@@ -238,7 +238,10 @@ def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]
                 raise CliError(
                     f"marginal {k} label {shown(repr(label))} contains '|', the separator of point keys"
                 )
-    joint = JOINTS[args.rule](family)
+    try:
+        joint = JOINTS[args.rule](family)
+    except ValueError as exc:  # past the ceiling on product points
+        raise CliError(str(exc)) from exc
     values = {"|".join(point): str(joint[point]) for point in family.points()}
     return {"rule": args.rule, "pi": values}, "\n".join(f"{key} = {value}" for key, value in values.items())
 
@@ -283,7 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("decompose", _document_pbox, _decompose, "split a box into two possibility distributions")
     add("bounds", _document_pbox, _bounds, "exact and conjunction-approximate bounds", event=True)
     joint = add("joint", _document_marginals, _joint, "joint distribution from marginals")
-    joint.add_argument("--rule", required=True, choices=JOINTS)
+    joint.add_argument(
+        "--rule",
+        required=True,
+        choices=JOINTS,
+        help=f"joint construction; a family of more than {MAX_POINTS} product points"
+        " (the product of the domain sizes) is refused",
+    )
     verify = add("verify", None, _verify, "run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify.add_argument(

@@ -5,7 +5,13 @@ quotient classes: a lower and an upper envelope for an unknown cumulative
 distribution function.  Interpreting the two vectors as bounds on the
 probabilities of the down-sets ``[bottom, x]`` and up-sets ``(y, top]``
 determines a coherent upper probability on *all* events; this module
-computes that value in closed form via minimal covers by class runs.  The
+computes that value in closed form.  The value depends on an event only
+through the classes it hits: :meth:`PBox.upper` sums the mass forced into
+the gap before each hit class, and :meth:`PBox.lower` finds the classes of
+the complement by counting the event's labels per class.  The paper's cover
+by runs, :meth:`~possbox.chain.Chain.minimal_cover` with
+:meth:`PBox.upper_on_union`, gives the same value; a test holds the two
+equal.  The
 companion :mod:`possbox.oracle` recovers the same numbers by direct
 optimization over the credal set, so every formula here is cross-checkable
 against an independent route.
@@ -123,7 +129,9 @@ class PBox:
         the gaps between the runs: for each gap the forced mass is
         ``max(0, lower(left end of next run) - upper(right end of previous
         run))``, with the sentinel before the first run and the top class
-        closing the last gap.
+        closing the last gap.  This is the paper's cover by runs;
+        :meth:`upper` reaches the same value from the hit classes alone, and
+        a test holds the two equal on every event's minimal cover.
 
         >>> chain = Chain([["a"], ["b"], ["c"]])
         >>> box = PBox(chain, ["0", "0", "1"], ["1/2", "4/5", "1"])
@@ -145,19 +153,38 @@ class PBox:
     def upper(self, event: Iterable[Label]) -> Fraction:
         """Natural-extension upper probability of an arbitrary event.
 
-        Computed on the minimal cover of the event: mass within a class is
-        free to sit on any element, so an event is upper-indistinguishable
-        from the union of the classes it intersects.  The empty event
-        returns 0.
+        Mass within a class is free to sit on any element, so an event is
+        upper-indistinguishable from the union of the classes it hits.  For
+        the sorted hit classes ``h_0 < .. < h_k`` the value is one minus the
+        mass forced into the gap before each: ``max(0, lower(h_j - 1) -
+        upper(h_{j-1}))``, with the sentinel before ``h_0`` and the top
+        class closing the last gap.  Two adjacent hit classes add
+        ``lower(h) - upper(h) <= 0``, so nothing, and the sum equals
+        :meth:`upper_on_union` on the event's minimal cover by runs.  The
+        empty event returns 0.
         """
-        return self.upper_on_union(self.chain.minimal_cover(event))
+        lo, up = self._lower_num, self._upper_num
+        forced = 0
+        prev = SENTINEL
+        for h in (*self.chain.classes_hit(event), len(self.lower_cdf)):
+            gap = lo[h - 1] - up[prev]
+            if gap > 0:
+                forced += gap
+            prev = h
+        return Fraction(self._den - forced, self._den)
 
     def lower(self, event: Iterable[Label]) -> Fraction:
         """Natural-extension lower probability, by conjugacy.
 
-        ``lower(A) = 1 - upper(complement of A)``.
+        ``lower(A) = 1 - upper(complement of A)``.  The complement hits
+        class ``i`` exactly when ``A`` holds fewer than all of its labels
+        (:meth:`~possbox.chain.Chain.class_counts`), so :meth:`upper` is
+        asked of one label of each such class, not of the complement's
+        label set.
         """
-        return ONE - self.upper(self.chain.complement(event))
+        classes = self.chain.classes
+        counts = self.chain.class_counts(event)
+        return ONE - self.upper([next(iter(cls)) for cls, n in zip(classes, counts) if n < len(cls)])
 
     def singleton_upper(self, x: Label) -> Fraction:
         """Upper probability of ``{x}``: the cumulative jump room at its class."""

@@ -104,12 +104,20 @@ class PossibilityDistribution:
         return self._values.items()
 
     def measure(self, event: Iterable[Hashable]) -> Fraction:
-        """Possibility of an event: the maximum value over its elements."""
-        best = ZERO
+        """Possibility of an event: the maximum value over its elements.
+
+        Values are compared by integer cross-multiplication (denominators
+        are positive); the winning value's own :class:`Fraction` is
+        returned.
+        """
+        values = self._values
+        best, num, den = ZERO, 0, 1
         for label in event:
-            v = self[label]
-            if v > best:
-                best = v
+            v = values.get(label)
+            if v is None:
+                v = self[label]  # raises the unknown-label error
+            if v.numerator * den > num * v.denominator:
+                best, num, den = v, v.numerator, v.denominator
         return best
 
     def __eq__(self, other: object) -> bool:
@@ -227,17 +235,18 @@ def conjunction_bounds(box: PBox, event: Iterable[Label]) -> tuple[Fraction, Fra
     ``1 - lower`` just below a class, never rises along the chain, and the
     second, ``upper`` at a class, never falls; so the first measures an
     event by its lowest class and the second by its highest.  The conjugates
-    need the same two end classes of the complement.
+    need the same two end classes of the complement, which hits class ``i``
+    exactly when the event holds fewer than all of its labels
+    (:meth:`~possbox.chain.Chain.class_counts`).
 
     >>> from possbox.chain import Chain
     >>> box = PBox(Chain([["a"], ["b"], ["c"]]), ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])
     >>> [str(v) for v in conjunction_bounds(box, {"b"})]
     ['0', '4/5']
     """
-    chain = box.chain
-    ev = chain.event(event)
-    hit = chain.classes_hit(ev)
-    missed = chain.classes_hit(chain.labels - ev)
+    counts = box.chain.class_counts(event)
+    hit = [i for i, n in enumerate(counts) if n]
+    missed = [i for i, (cls, n) in enumerate(zip(box.chain.classes, counts)) if n < len(cls)]
     approx_upper = min(ONE - box.lower_at(hit[0] - 1), box.upper_at(hit[-1])) if hit else ZERO
     approx_lower = max(box.lower_at(missed[0] - 1), ONE - box.upper_at(missed[-1])) if missed else ONE
     return approx_lower, approx_upper

@@ -267,13 +267,18 @@ def suite_roundtrip(
             )
 
     rng = random.Random(seed)
+    # Sorted labels -> every event over them, in class_subsets order; built
+    # once per label set, so once per domain size.
+    events_over: dict[tuple, list[list]] = {}
     for _ in range(samples):
         pi = _random_distribution(rng, max_domain, grid_den)
         report.cases += 1
         _, box = possibility_to_pbox(pi)
-        labels = sorted(pi.labels)
-        for subset in class_subsets(len(labels)):
-            event = [labels[j] for j in subset]
+        labels = tuple(sorted(pi.labels))
+        events = events_over.get(labels)
+        if events is None:
+            events = events_over[labels] = [[labels[j] for j in subset] for subset in class_subsets(len(labels))]
+        for event in events:
             upper = box.upper(event)
             possibility = pi.measure(event)
             report.checks += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import possbox
 from possbox import Chain, PBox, cli, oracle, pbox_to_possibility, verify
 from possbox.cli import main
+from possbox.multivariate import JOINTS, MAX_POINTS, MarginalFamily
+from possbox.possibility import PossibilityDistribution
 
 P2_DOC = {
     "classes": [["a"], ["b"], ["c"]],
@@ -189,6 +192,29 @@ def test_joint_refuses_labels_holding_the_key_separator(write_doc, capsys):
         assert err == "error: marginal 0 label 'a|b' contains '|', the separator of point keys\n"
     code, out, _ = run(capsys, "validate", "--input", path)
     assert (code, out) == (0, "valid: marginals\n")
+
+
+def test_joint_refuses_a_product_space_past_the_ceiling_before_building_it(write_doc, capsys):
+    # The ceiling counts points, not vectors: one marginal of MAX_POINTS
+    # labels builds its one vector, and one more label is refused.  (Checked
+    # first, so a lost ceiling fails here instead of building 2**40 points.)
+    flat = {f"x{j}": "1" for j in range(MAX_POINTS)}
+    assert len(MarginalFamily([PossibilityDistribution(flat)]).vectors()[0][3]) == MAX_POINTS
+    flat["over"] = "1"
+    with pytest.raises(ValueError, match="more than MAX_POINTS"):
+        MarginalFamily([PossibilityDistribution(flat)]).vectors()
+    # 40 two-label marginals ask for 2**40 points; the refusal is one line, at once.
+    path = write_doc({"marginals": [{"a": "1/2", "b": "1"}] * 40})
+    for rule in JOINTS:
+        for extra in ((), ("--json",)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "joint", "--input", path, "--rule", rule, *extra)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == f"error: the product space has more than MAX_POINTS = {MAX_POINTS} points\n"
+    with pytest.raises(SystemExit):
+        main(["joint", "--help"])
+    assert f"more than {MAX_POINTS} product points" in " ".join(capsys.readouterr().out.split())
 
 
 def test_validate(write_doc, capsys):

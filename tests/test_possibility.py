@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from possbox import (
     zero_one_possibility,
 )
 from possbox.possibility import value_levels
+from possbox.rationals import ZERO
 from possbox.verify import iter_grid_pboxes
 
 
@@ -54,6 +56,25 @@ def test_distribution_queries():
         pi["z"]
     with pytest.raises(ValueError):
         pi.measure({"z"})
+
+
+def test_measure_is_the_first_largest_value_on_large_prime_denominators():
+    # Neighbouring values over 2**61 - 1 and 10**9 + 7, whose cross products
+    # pass 64 bits, one value held twice by two objects, and the top value 1.
+    p, q = 2**61 - 1, 10**9 + 7
+    rng = random.Random(5)
+    values = []
+    for _ in range(5):
+        k = rng.randrange(p)
+        values += [Fraction(k, p), Fraction(k * q // p, q), Fraction(k * q // p + 1, q)]
+    values += [Fraction(values[0].numerator, p), Fraction(1)]
+    pi = PossibilityDistribution({f"v{j}": v for j, v in enumerate(values)})
+    labels = list(pi)
+    for event in every_event(labels[:10]) + [labels, labels[::-1]]:
+        best = max((pi[label] for label in event), default=ZERO)
+        assert pi.measure(event) is best, event
+    # The tie goes to the first of the two in the event's order.
+    assert pi.measure(["v0", "v15"]) is pi["v0"] and pi.measure(["v15", "v0"]) is pi["v15"]
 
 
 def test_measure_caps_complement_at_one():
@@ -199,7 +220,7 @@ def assert_bounds_are_the_decomposition_measures(box):
         assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
     for box in iter_grid_pboxes(m, 4):
         assert_bounds_are_the_decomposition_measures(box)
