@@ -36,7 +36,7 @@ def main() -> None:
 
     event = {"mon", "wed", "fri"}
     cover = chain.minimal_cover(event)
-    print("minimal cover of {mon, wed, fri} as index runs:", cover.runs)
+    print("minimal cover of {mon, wed, fri} as index runs:", cover)
     print("  (each run (l, r] is a block of consecutive classes;",
           "-1 marks 'strictly below the bottom class')")
     print()

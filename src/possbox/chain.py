@@ -13,7 +13,6 @@ open left endpoint of runs anchored at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from possbox.rationals import shown
@@ -133,18 +132,20 @@ class Chain:
             out |= self.classes[i]
         return frozenset(out)
 
-    def minimal_cover(self, labels: Iterable[Label]) -> "IntervalUnion":
-        """Smallest canonical union of class runs containing an event.
+    def minimal_cover(self, labels: Iterable[Label]) -> tuple[tuple[int, int], ...]:
+        """Smallest union of class runs containing an event, as half-open runs.
 
         Each maximal run of consecutive intersected classes ``i..j`` becomes
-        the half-open run ``(i - 1, j]``.  No strictly smaller union of runs
-        contains the event, and events intersecting the same classes share
-        the same cover.
+        the pair ``(i - 1, j)``, the run ``(i - 1, j]``; ``i - 1`` may be the
+        sentinel.  Runs come in ascending order, separated by at least one
+        class the event misses.  No strictly smaller union of runs contains
+        the event, and events intersecting the same classes share the same
+        cover.
 
         >>> chain = Chain([["a"], ["b"], ["c"]])
-        >>> chain.minimal_cover({"a", "c"}).runs
+        >>> chain.minimal_cover({"a", "c"})
         ((-1, 0), (1, 2))
-        >>> chain.minimal_cover([]).runs
+        >>> chain.minimal_cover([])
         ()
         """
         runs: list[tuple[int, int]] = []
@@ -157,7 +158,7 @@ class Chain:
             prev = i
         if start is not None:
             runs.append((start - 1, prev))
-        return IntervalUnion(self.m, tuple(runs))
+        return tuple(runs)
 
     # ----------------------------------------------------------- protocol
 
@@ -170,31 +171,6 @@ class Chain:
     def __repr__(self) -> str:
         body = ", ".join("{" + ", ".join(sorted(cls)) + "}" for cls in self.classes)
         return f"Chain({body})"
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Canonical finite union of half-open runs of consecutive classes.
-
-    A pair ``(l, r)`` covers the classes ``l + 1 .. r``; ``l`` may be the
-    sentinel ``-1``.  Runs are strictly ordered and separated by at least one
-    uncovered class, so each set of covered classes has exactly one
-    representation.
-    """
-
-    m: int
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("chain size must be at least 1")
-        prev_right: int | None = None
-        for left, right in self.runs:
-            if not (SENTINEL <= left < right <= self.m - 1):
-                raise ValueError(f"run ({left}, {right}] out of range for m={self.m}")
-            if prev_right is not None and left <= prev_right:
-                raise ValueError("runs must be sorted and separated by at least one class")
-            prev_right = right
 
 
 def class_subsets(m: int) -> list[tuple[int, ...]]:

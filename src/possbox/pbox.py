@@ -8,13 +8,13 @@ determines a coherent upper probability on *all* events; this module
 computes that value in closed form.  The value depends on an event only
 through the classes it hits: :meth:`PBox.upper` sums the mass forced into
 the gap before each hit class, and :meth:`PBox.lower` finds the classes of
-the complement by counting the event's labels per class.  The paper's cover
-by runs, :meth:`~possbox.chain.Chain.minimal_cover` with
-:meth:`PBox.upper_on_union`, gives the same value; a test holds the two
-equal.  The
-companion :mod:`possbox.oracle` recovers the same numbers by direct
-optimization over the credal set, so every formula here is cross-checkable
-against an independent route.
+the complement by counting the event's labels per class.
+:meth:`PBox.upper_on_union` takes the paper's route for the same event: it
+sums the forced mass over the gaps between the runs of the event's cover
+(:meth:`~possbox.chain.Chain.minimal_cover`), and a test holds the two
+routes equal.  The companion :mod:`possbox.oracle` recovers the same
+numbers by direct optimization over the credal set, so every formula here
+is cross-checkable against an independent route.
 
 As in the oracle's tableau, the arithmetic runs on integers: a box keeps
 each bound's numerator over the one common denominator of all ``2m``
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from possbox.chain import SENTINEL, Chain, IntervalUnion, Label
+from possbox.chain import SENTINEL, Chain, Label
 from possbox.rationals import ONE, ZERO, exact, shown
 
 
@@ -122,28 +122,27 @@ class PBox:
 
     # ------------------------------------------------ natural extension
 
-    def upper_on_union(self, union: IntervalUnion) -> Fraction:
-        """Upper probability of a canonical union of class runs.
+    def upper_on_union(self, event: Iterable[Label]) -> Fraction:
+        """Upper probability of an event by the paper's cover by runs.
 
         One minus the probability mass that the cumulative bounds force into
-        the gaps between the runs: for each gap the forced mass is
-        ``max(0, lower(left end of next run) - upper(right end of previous
-        run))``, with the sentinel before the first run and the top class
-        closing the last gap.  This is the paper's cover by runs;
-        :meth:`upper` reaches the same value from the hit classes alone, and
-        a test holds the two equal on every event's minimal cover.
+        the gaps between the runs of the event's minimal cover
+        (:meth:`~possbox.chain.Chain.minimal_cover`): for each gap the forced
+        mass is ``max(0, lower(left end of next run) - upper(right end of
+        previous run))``, with the sentinel before the first run and the top
+        class closing the last gap.  :meth:`upper` reaches the same value
+        from the hit classes alone, and a test holds the two equal on every
+        event.
 
         >>> chain = Chain([["a"], ["b"], ["c"]])
         >>> box = PBox(chain, ["0", "0", "1"], ["1/2", "4/5", "1"])
-        >>> box.upper_on_union(IntervalUnion(3, ((0, 1),)))
+        >>> box.upper_on_union({"a", "b"})
         Fraction(4, 5)
         """
-        if union.m != self.m:
-            raise ValueError("interval union built for a different chain size")
         lo, up = self._lower_num, self._upper_num
         forced = 0
         prev_right = SENTINEL
-        for left, right in (*union.runs, (self.m - 1, None)):
+        for left, right in (*self.chain.minimal_cover(event), (self.m - 1, None)):
             gap = lo[left] - up[prev_right]
             if gap > 0:
                 forced += gap
@@ -160,7 +159,7 @@ class PBox:
         upper(h_{j-1}))``, with the sentinel before ``h_0`` and the top
         class closing the last gap.  Two adjacent hit classes add
         ``lower(h) - upper(h) <= 0``, so nothing, and the sum equals
-        :meth:`upper_on_union` on the event's minimal cover by runs.  The
+        :meth:`upper_on_union`, the sum over the event's cover by runs.  The
         empty event returns 0.
         """
         lo, up = self._lower_num, self._upper_num

@@ -3,6 +3,14 @@ import pytest
 from possbox import Chain, PBox
 from possbox.chain import class_subsets
 
+#: Chains with tied classes: more labels, so more of the oracle's mass
+#: variables, than classes.
+TIED_CHAINS = (
+    Chain([["a", "b"], ["c"]]),
+    Chain([["a"], ["b", "c", "d"]]),
+    Chain([["a", "b"], ["c"], ["d", "e"]]),
+)
+
 
 @pytest.fixture
 def chain3() -> Chain:
@@ -39,9 +47,9 @@ def precise(chain3: Chain) -> PBox:
     return PBox(chain3, ["0", "1", "1"], ["0", "1", "1"])
 
 
-def cover_classes(cover):
+def cover_classes(runs):
     """The class indices a cover's runs span, ascending: ``l + 1 .. r`` for each run ``(l, r]``."""
-    return tuple(i for left, right in cover.runs for i in range(left + 1, right + 1))
+    return tuple(i for left, right in runs for i in range(left + 1, right + 1))
 
 
 def class_upper(box, subset):

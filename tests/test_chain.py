@@ -1,7 +1,7 @@
 import pytest
 from conftest import cover_classes, every_event
 
-from possbox import SENTINEL, Chain, IntervalUnion, verify
+from possbox import SENTINEL, Chain, verify
 from possbox.chain import class_subsets
 
 
@@ -44,15 +44,14 @@ def test_class_range_labels(chain3):
 
 
 def test_minimal_cover_examples(chain3):
-    assert chain3.minimal_cover({"a", "c"}).runs == ((SENTINEL, 0), (1, 2))
-    assert chain3.minimal_cover({"b"}).runs == ((0, 1),)
-    assert chain3.minimal_cover({"a", "b", "c"}).runs == ((SENTINEL, 2),)
-    assert chain3.minimal_cover(frozenset()).runs == ()
+    assert chain3.minimal_cover({"a", "c"}) == ((SENTINEL, 0), (1, 2))
+    assert chain3.minimal_cover({"b"}) == ((0, 1),)
+    assert chain3.minimal_cover({"a", "b", "c"}) == ((SENTINEL, 2),)
+    assert chain3.minimal_cover(frozenset()) == ()
 
 
 def test_minimal_cover_merges_adjacent_classes(chain3):
-    cover = chain3.minimal_cover({"a", "b"})
-    assert cover.runs == ((SENTINEL, 1),)
+    assert chain3.minimal_cover({"a", "b"}) == ((SENTINEL, 1),)
 
 
 def test_minimal_cover_is_least_superset():
@@ -73,24 +72,12 @@ def test_minimal_cover_idempotent(chain3):
     assert again == cover
 
 
-def test_interval_union_validation():
-    with pytest.raises(ValueError):
-        IntervalUnion(3, ((0, 0),))  # left must be strictly below right
-    with pytest.raises(ValueError):
-        IntervalUnion(3, ((-2, 1),))
-    with pytest.raises(ValueError):
-        IntervalUnion(3, ((SENTINEL, 3),))
-    with pytest.raises(ValueError):
-        # touching runs must be merged, not listed separately
-        IntervalUnion(3, ((SENTINEL, 0), (0, 2)))
-
-
 def test_minimal_cover_spans_exactly_the_classes_hit_on_every_event():
     chain = Chain([["a"], ["b", "b2"], ["c"], ["d"], ["e", "e2"]])
     for event in every_event(chain.labels):
         assert cover_classes(chain.minimal_cover(event)) == chain.classes_hit(event)
-    assert chain.minimal_cover({"e2", "c", "a", "b"}).runs == ((SENTINEL, 2), (3, 4))
-    assert chain.minimal_cover({"a", "c", "e"}).runs == ((SENTINEL, 0), (1, 2), (3, 4))
+    assert chain.minimal_cover({"e2", "c", "a", "b"}) == ((SENTINEL, 2), (3, 4))
+    assert chain.minimal_cover({"a", "c", "e"}) == ((SENTINEL, 0), (1, 2), (3, 4))
 
 
 def test_class_subsets_come_in_bitmask_order():

@@ -2,10 +2,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import every_event
+from conftest import TIED_CHAINS, every_event
 
 from possbox import (
-    Chain,
     is_maxitive,
     upper_01_both,
     upper_01_lower,
@@ -90,10 +89,6 @@ def test_upper_01_both_frozen(r, precise):
     # so an event missing that class has upper probability zero.
     assert upper_01_both(precise, {"a", "c"}) == 0
     assert upper_01_both(precise, {"b", "c"}) == 1
-
-
-#: Chains with tied classes; ``suite_maxitive`` enumerates singleton classes only.
-TIED_CHAINS = (Chain([["a", "b"], ["c"], ["d", "e"]]), Chain([["a"], ["b", "c", "d"]]))
 
 
 def test_specialized_formulas_agree_with_general_route():

@@ -1,13 +1,15 @@
 import ast
 import random
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import class_upper, every_event
+from conftest import TIED_CHAINS, class_upper, every_event
 
 from possbox import (
-    Chain,
+    MarginalFamily,
     PBox,
     PossibilityDistribution,
     check_coherence,
@@ -16,17 +18,22 @@ from possbox import (
     credal_lower,
     credal_upper,
     exhaustive_max_preserving,
+    joint_frechet,
+    joint_independent,
+    joint_rsi_outer,
+    least_conservative_check,
 )
 from possbox import oracle
 from possbox.chain import class_subsets
+from possbox.multivariate import MAX_POINTS
 from possbox.oracle import Infeasible, simplex_max
-from possbox.verify import default_chain, iter_chain_pboxes, iter_grid_pboxes, suite_oracle
-
-#: Chains with tied classes: more mass variables than classes.
-TIED_CHAINS = (
-    Chain([["a", "b"], ["c"]]),
-    Chain([["a"], ["b", "c", "d"]]),
-    Chain([["a", "b"], ["c"], ["d", "e"]]),
+from possbox.verify import (
+    default_chain,
+    iter_chain_pboxes,
+    iter_grid_pboxes,
+    suite_conjunction,
+    suite_maxitive,
+    suite_oracle,
 )
 
 
@@ -383,11 +390,67 @@ def no_lp(monkeypatch):
     monkeypatch.setattr(oracle, "simplex_max", refuse)
 
 
-def test_exhaustive_max_preserving_guard(no_lp):
-    m = oracle.MAX_CLASSES + 1
-    box = PBox(default_chain(m), [0] * (m - 1) + [1], [1] * m)
-    with pytest.raises(ValueError, match=f"chain has {m} classes; refusing to enumerate beyond {m - 1}"):
-        exhaustive_max_preserving(box)
+def _vacuous_box(m):
+    """The box on :func:`default_chain` of ``m`` classes that bounds nothing below the top."""
+    return PBox(default_chain(m), [0] * (m - 1) + [1], [1] * m)
+
+
+def _two_label_marginals(n):
+    """``n`` two-label marginals: a product space of ``2 ** n`` points."""
+    return MarginalFamily([PossibilityDistribution({"a": "1/2", "b": 1})] * n)
+
+
+PAST_MAX_POINTS = f"the product space has more than MAX_POINTS = {MAX_POINTS} points"
+PAST_CLASSES, PAST_ELEMENTS = oracle.MAX_CLASSES + 1, oracle.MAX_ELEMENTS + 1
+
+#: Every public function whose cost is exponential, a thunk building its
+#: arguments one step past its ceiling, and the message that refuses them.
+#: Fifteen two-label marginals are one marginal past MAX_POINTS = 2 ** 14.
+CEILINGS = [
+    *(
+        pytest.param(joint, lambda: (_two_label_marginals(15),), PAST_MAX_POINTS, id=joint.__name__)
+        for joint in (joint_frechet, joint_independent, joint_rsi_outer)
+    ),
+    pytest.param(
+        least_conservative_check,
+        lambda: (_two_label_marginals(15), PossibilityDistribution({"a": 1}), "frechet"),
+        PAST_MAX_POINTS,
+        id="least_conservative_check",
+    ),
+    pytest.param(
+        exhaustive_max_preserving,
+        lambda: (_vacuous_box(PAST_CLASSES),),
+        f"chain has {PAST_CLASSES} classes; refusing to enumerate beyond {oracle.MAX_CLASSES}",
+        id="exhaustive_max_preserving",
+    ),
+    pytest.param(
+        credal_intersection_equal,
+        lambda: (_vacuous_box(PAST_ELEMENTS), *conjunction_decompose(_vacuous_box(PAST_ELEMENTS))),
+        f"space has {PAST_ELEMENTS} elements; refusing to enumerate beyond {oracle.MAX_ELEMENTS}",
+        id="credal_intersection_equal",
+    ),
+    pytest.param(
+        suite_maxitive,
+        lambda: (PAST_CLASSES,),
+        f"the maxitive suite takes at most {oracle.MAX_CLASSES} classes (got {PAST_CLASSES})",
+        id="suite_maxitive",
+    ),
+    pytest.param(
+        suite_conjunction,
+        lambda: (PAST_ELEMENTS,),
+        f"the conjunction suite takes at most {oracle.MAX_ELEMENTS} classes (got {PAST_ELEMENTS})",
+        id="suite_conjunction",
+    ),
+]
+
+
+@pytest.mark.parametrize("function, arguments, message", CEILINGS)
+def test_exponential_functions_refuse_one_past_their_ceiling_at_once(no_lp, function, arguments, message):
+    args = arguments()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_intersection_holds_for_decomposition(p1, p2, q):
@@ -409,8 +472,3 @@ def test_intersection_guards(p1, no_lp):
     bad = PossibilityDistribution({"a": 1, "b": 1})
     with pytest.raises(ValueError):
         credal_intersection_equal(p1, good, bad)
-    n = oracle.MAX_ELEMENTS + 1
-    box = PBox(default_chain(n), [0] * (n - 1) + [1], [1] * n)
-    pi_one, pi_two = conjunction_decompose(box)
-    with pytest.raises(ValueError, match=f"space has {n} elements; refusing to enumerate beyond {n - 1}"):
-        credal_intersection_equal(box, pi_one, pi_two)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import every_event
+from conftest import TIED_CHAINS, every_event
 
 from possbox import Chain, PBox
 from possbox.rationals import MAX_DIGITS, ONE, exact
@@ -163,26 +163,25 @@ def test_single_class_chain():
 
 
 def test_hit_class_sum_and_class_count_complement_equal_the_label_set_routes():
-    # Every event of every grid-4 box with m <= 4, and of a tied chain whose
-    # events cut its two-label classes: upper against the cover by runs,
-    # lower against the upper value of the complement's label set.
-    tied = Chain([["a", "b"], ["c"], ["d", "e"]])
+    # Every event of every grid-4 box with m <= 4, and of the tied chains whose
+    # events cut their tied classes: upper against the cover by runs, lower
+    # against the upper value of the complement's label set.
     boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
-    boxes += iter_chain_pboxes(tied, 4)
+    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
     wrong = []
     for box in boxes:
         chain = box.chain
         for event in every_event(chain.labels):
-            by_runs = box.upper_on_union(chain.minimal_cover(event))
             by_labels = ONE - box.upper(chain.complement(event))
-            if box.upper(event) != by_runs or box.lower(event) != by_labels:
+            if box.upper(event) != box.upper_on_union(event) or box.lower(event) != by_labels:
                 wrong.append((box, event))
-    assert (len(boxes), wrong) == (611 + 105, [])
+    assert (len(boxes), wrong) == (611 + 15 + 15 + 105, [])
 
 
 def test_upper_and_lower_name_the_first_unknown_label_and_read_an_iterator_once(p2):
-    for bound in (p2.upper, p2.lower):
+    for bound in (p2.upper, p2.lower, p2.upper_on_union):
         with pytest.raises(ValueError, match="^unknown label 'z'$"):
             bound(["a", "z", "y"])
     assert p2.upper(iter(["a", "c"])) == p2.upper({"a", "c"})
+    assert p2.upper_on_union(iter(["a", "c"])) == p2.upper({"a", "c"})
     assert p2.lower(label for label in "ab") == p2.lower({"a", "b"})

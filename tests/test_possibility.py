@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import every_event
+from conftest import TIED_CHAINS, every_event
 
 import possbox
 from possbox import (
@@ -229,13 +229,13 @@ def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
 def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
     # Every event of five labels, the empty and full ones and those that
     # cut a tied class among them, on every grid box with three classes.
-    tied = Chain([["a", "b"], ["c"], ["d", "e"]])
+    tied = TIED_CHAINS[-1]
     for box in iter_grid_pboxes(3, 4):
         assert_bounds_are_the_decomposition_measures(PBox(tied, box.lower_cdf, box.upper_cdf))
 
 
 def test_conjunction_bounds_on_end_events_and_cut_classes():
-    box = PBox(Chain([["a", "b"], ["c"], ["d", "e"]]), ["1/4", "1/2", "1"], ["1/2", "3/4", "1"])
+    box = PBox(TIED_CHAINS[-1], ["1/4", "1/2", "1"], ["1/2", "3/4", "1"])
     assert conjunction_bounds(box, []) == (0, 0)
     assert conjunction_bounds(box, "abcde") == (1, 1)
     # {b, c} cuts the bottom class, so its complement {a, d, e} hits both end classes.
