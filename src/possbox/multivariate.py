@@ -38,13 +38,14 @@ from possbox.rationals import ONE
 #: 2**16 points took 1.7 s and 3.0 MB.
 MAX_POINTS = 2**14
 
-#: Rectangle combination rules: name -> function of per-marginal measures.
-RULES = {"frechet": min, "independent": prod}
+#: Rule name -> (rectangle combination, least-conservative joint value at score z of n marginals).
+RULES = {"frechet": (min, lambda z, n: z), "independent": (prod, lambda z, n: z**n)}
 
 
-def _check_rule(rule: str) -> None:
+def _rule(rule: str):
     if rule not in RULES:
         raise ValueError(f"unknown combination rule {rule!r} (expected one of {tuple(RULES)})")
+    return RULES[rule]
 
 
 class MarginalFamily:
@@ -189,8 +190,7 @@ def combine_rectangle(
     rect = list(rectangle)
     if len(rect) != family.n:
         raise ValueError(f"rectangle has {len(rect)} components, family has {family.n}")
-    _check_rule(rule)
-    return RULES[rule](m.measure(component) for m, component in zip(family.marginals, rect))
+    return _rule(rule)[0](m.measure(component) for m, component in zip(family.marginals, rect))
 
 
 def least_conservative_check(
@@ -221,14 +221,14 @@ def least_conservative_check(
     Raises for an unknown rule, a family past :data:`MAX_POINTS`, or a
     joint living on a different product space.
     """
-    _check_rule(rule)
+    least = _rule(rule)[1]
     n = family.n
     table = family.vectors()
-    if set(family.points()) != joint.labels:
+    if sum(len(row[3]) for row in table) != len(joint) or not all(map(joint.__contains__, family.points())):
         raise ValueError("joint does not live on this family's product space")
 
     for _, z, _, points in table:
-        canonical = z if rule == "frechet" else z**n
+        canonical = least(z, n)
         num, den = canonical.numerator, canonical.denominator
         for point in points:
             value = joint[point]

@@ -2,6 +2,7 @@ import pytest
 
 from possbox import Chain, PBox
 from possbox.chain import class_subsets
+from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
 
 #: Chains with tied classes: more labels, so more of the oracle's mass
 #: variables, than classes.
@@ -10,6 +11,13 @@ TIED_CHAINS = (
     Chain([["a"], ["b", "c", "d"]]),
     Chain([["a", "b"], ["c"], ["d", "e"]]),
 )
+
+
+@pytest.fixture(scope="session")
+def grid4_boxes() -> tuple[PBox, ...]:
+    """Every grid-4 box of at most four classes (611), then those on :data:`TIED_CHAINS` (15 + 15 + 105)."""
+    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
+    return tuple(boxes + [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)])
 
 
 @pytest.fixture

@@ -108,16 +108,14 @@ def test_specialized_formulas_agree_with_general_route():
                 assert upper_01_both(box, event) == expected == window.measure(event)
 
 
-def test_profile_matches_a_scan_of_both_vectors():
+def test_profile_matches_a_scan_of_both_vectors(grid4_boxes):
     def scanned(vector):
         first_positive = 0
         while vector[first_positive] == 0:
             first_positive += 1
         return first_positive, all(v in (0, 1) for v in vector)
 
-    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
-    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
-    for box in boxes:
+    for box in grid4_boxes:
         profile = zero_one_profile(box)
         fields = (
             profile.first_lower_positive,

@@ -119,9 +119,13 @@ def test_least_conservative_check_rejects_mismatched_space(family_2x2):
             PossibilityDistribution({"w": "1"}),
         ]
     )
-    joint = joint_frechet(other)
-    with pytest.raises(ValueError):
-        least_conservative_check(family_2x2, joint, "frechet")
+    # Two other product spaces of four points, one sharing two of them, and one point more.
+    renamed = MarginalFamily([*family_2x2.marginals[:1], PossibilityDistribution({"s": "3/10", "x": "1"})])
+    extra = PossibilityDistribution({**dict(joint_frechet(family_2x2).items()), ("w", "w"): "1/2"})
+    for joint in (joint_frechet(other), joint_frechet(renamed), extra):
+        for rule in ("frechet", "independent"):
+            with pytest.raises(ValueError, match="^joint does not live on this family's product space$"):
+                least_conservative_check(family_2x2, joint, rule)
 
 
 def test_rsi_between_the_two_regimes():

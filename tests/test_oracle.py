@@ -30,7 +30,6 @@ from possbox.oracle import Infeasible, simplex_max
 from possbox.verify import (
     default_chain,
     iter_chain_pboxes,
-    iter_grid_pboxes,
     suite_conjunction,
     suite_maxitive,
     suite_oracle,
@@ -152,11 +151,9 @@ def test_phase_two_starts_from_the_last_optimum(regions_built, pivots):
     assert pivots == {"phase 1": 2446, "phase 2": 5815}
 
 
-def test_warm_optima_equal_cold_on_every_event():
-    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
-    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
+def test_warm_optima_equal_cold_on_every_event(grid4_boxes):
     events = 0
-    for box in boxes:
+    for box in grid4_boxes:
         n = sum(len(cls) for cls in box.chain.classes)
         objectives = [[1 if k in subset else 0 for k in range(n)] for subset in class_subsets(n)]
         events += len(objectives)
@@ -363,12 +360,6 @@ def test_oracle_matches_formula_on_tied_chains():
 def test_check_coherence_on_fixtures(p1, p2, q, r, precise):
     for box in (p1, p2, q, r, precise):
         assert check_coherence(box)
-
-
-def test_every_small_grid_box_is_coherent():
-    for m in range(1, 3):
-        for box in iter_grid_pboxes(m, 2):
-            assert check_coherence(box)
 
 
 def test_exhaustive_max_preserving(p1, p2):

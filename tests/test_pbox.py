@@ -1,11 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import TIED_CHAINS, every_event
+from conftest import every_event
 
 from possbox import Chain, PBox
 from possbox.rationals import MAX_DIGITS, ONE, exact
-from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
 
 
 def test_constructor_rejects_bad_vectors(chain3):
@@ -162,20 +161,18 @@ def test_single_class_chain():
     assert box.upper(frozenset()) == 0
 
 
-def test_hit_class_sum_and_class_count_complement_equal_the_label_set_routes():
+def test_hit_class_sum_and_class_count_complement_equal_the_label_set_routes(grid4_boxes):
     # Every event of every grid-4 box with m <= 4, and of the tied chains whose
     # events cut their tied classes: upper against the cover by runs, lower
     # against the upper value of the complement's label set.
-    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
-    boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
     wrong = []
-    for box in boxes:
+    for box in grid4_boxes:
         chain = box.chain
         for event in every_event(chain.labels):
             by_labels = ONE - box.upper(chain.complement(event))
             if box.upper(event) != box.upper_on_union(event) or box.lower(event) != by_labels:
                 wrong.append((box, event))
-    assert (len(boxes), wrong) == (611 + 15 + 15 + 105, [])
+    assert (len(grid4_boxes), wrong) == (611 + 15 + 15 + 105, [])
 
 
 def test_upper_and_lower_name_the_first_unknown_label_and_read_an_iterator_once(p2):

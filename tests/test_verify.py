@@ -9,7 +9,6 @@ from possbox.cli import main
 from possbox.multivariate import joint_frechet, joint_independent
 from possbox.possibility import conjunction_bounds, pbox_to_possibility, possibility_to_pbox
 from possbox.verify import (
-    SUITES,
     SuiteReport,
     _event_labels,
     default_chain,
@@ -92,28 +91,6 @@ def test_a_suite_that_checked_nothing_is_not_ok():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
-
-
-def test_all_suites_pass_at_toy_sizes():
-    reports = {}
-    for name in sorted(SUITES):
-        if name == "roundtrip":
-            reports[name] = run_suite(name, max_classes=3, grid_den=2)
-        else:
-            reports[name] = run_suite(name, max_classes=2, grid_den=2)
-    for name, report in reports.items():
-        assert report.ok, f"{name}: {report.counterexample}"
-        assert report.cases > 0
-        assert report.checks > report.cases
-
-
-def test_suites_are_deterministic():
-    first = run_suite("roundtrip", max_classes=3, grid_den=2)
-    second = run_suite("roundtrip", max_classes=3, grid_den=2)
-    assert (first.cases, first.checks) == (second.cases, second.checks)
-    one = run_suite("maxitive", max_classes=2, grid_den=2)
-    two = run_suite("maxitive", max_classes=2, grid_den=2)
-    assert (one.cases, one.checks) == (two.cases, two.checks)
 
 
 def test_run_suite_size_knobs():
