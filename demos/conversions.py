@@ -22,7 +22,8 @@ def main() -> None:
     chain = Chain([["a"], ["b"], ["c"]])
     p1 = PBox(chain, ["0", "0", "1"], ["1/2", "4/5", "1"])
     pi = pbox_to_possibility(p1)
-    assert pi is not None
+    if pi is None:
+        raise RuntimeError("P1 is maxitive, yet it did not convert")
     print("P1 is maxitive; its distribution:",
           {x: str(pi[x]) for x in "abc"})
 
@@ -35,7 +36,8 @@ def main() -> None:
     descending = PBox(Chain([["x2"], ["x1"]]), ["1/2", "1"], ["1", "1"])
     for name, box in (("x1 < x2", ascending), ("x2 < x1", descending)):
         converted = pbox_to_possibility(box)
-        assert converted is not None
+        if converted is None:
+            raise RuntimeError(f"the ordering {name} did not convert")
         print(f"  ordering {name}: pi(x1)={converted['x1']}, pi(x2)={converted['x2']}")
     print()
 

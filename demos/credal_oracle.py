@@ -29,10 +29,11 @@ def main() -> None:
             event = frozenset(combo)
             formula = (box.lower(event), box.upper(event))
             oracle = (credal_lower(box, event), credal_upper(box, event))
-            assert formula == oracle
             name = "{" + ", ".join(sorted(event)) + "}"
-            pair = f"[{formula[0]}, {formula[1]}]"
-            print(f"{name:18}{pair:18}{pair:18}")
+            if formula != oracle:
+                raise RuntimeError(f"the formula and the linear program disagree on {name}")
+            by_formula, by_lp = (f"[{lo}, {up}]" for lo, up in (formula, oracle))
+            print(f"{name:18}{by_formula:18}{by_lp:18}")
     print()
     print("cumulative vectors are reproduced by the optimizer:", check_coherence(box))
     print()

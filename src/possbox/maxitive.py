@@ -14,17 +14,15 @@ specialized forms.  Agreement of each specialized form with the general
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from possbox.chain import SENTINEL, Label
 from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO
 
 
-@dataclass(frozen=True)
-class ZeroOneProfile:
+class ZeroOneProfile(NamedTuple):
     """Where the cumulative vectors of a probability box leave 0, and whether they are 0-1.
 
     ``first_lower_positive`` is the index of the first class where the lower

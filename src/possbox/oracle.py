@@ -340,7 +340,7 @@ def check_coherence(box: PBox, upper: ClassUpper | None = None) -> bool:
     upper vector there, and the optimum over ``(x, top]`` must equal one
     minus the lower vector.  A failure would mean the cumulative vectors
     are not coherent as stated, i.e. a modelling tripwire.  ``upper``
-    defaults to the LP oracle, as in :func:`exhaustive_max_preserving`.
+    defaults to the LP oracle; the oracle suite passes its own optima.
     """
     if upper is None:
         upper = credal_upper_classes
@@ -353,23 +353,18 @@ def check_coherence(box: PBox, upper: ClassUpper | None = None) -> bool:
     return True
 
 
-def exhaustive_max_preserving(box: PBox, upper: ClassUpper | None = None) -> bool:
+def exhaustive_max_preserving(box: PBox) -> bool:
     """Semantic maxitivity check: ``upper(A or B) == max(upper(A), upper(B))``.
 
     Enumerates every pair of class unions (events intersecting the same
     classes share their upper probability, so this covers all event pairs),
-    each union indexed by its bitmask over the class indices.
-    ``upper`` receives the union as a sorted index tuple and defaults to
-    the LP oracle; pass one that reads :meth:`~possbox.pbox.PBox.upper` on
-    the labels of those classes to check the closed-form route instead.
-    Refuses a chain of more than :data:`MAX_CLASSES` classes.
+    each union indexed by its bitmask over the class indices and valued by
+    the LP oracle.  Refuses a chain of more than :data:`MAX_CLASSES` classes.
     """
     m = box.m
     if m > MAX_CLASSES:
         raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {MAX_CLASSES}")
-    if upper is None:
-        upper = credal_upper_classes
-    value = [upper(box, subset) for subset in class_subsets(m)]
+    value = [credal_upper_classes(box, subset) for subset in class_subsets(m)]
     masks = range(len(value))
     return all(value[a | b] == max(value[a], value[b]) for a in masks for b in masks)
 

@@ -2,7 +2,7 @@ import pytest
 
 from possbox import Chain, PBox
 from possbox.chain import class_subsets
-from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
+from possbox.verify import default_chain, iter_chain_pboxes
 
 #: Chains with tied classes: more labels, so more of the oracle's mass
 #: variables, than classes.
@@ -16,7 +16,7 @@ TIED_CHAINS = (
 @pytest.fixture(scope="session")
 def grid4_boxes() -> tuple[PBox, ...]:
     """Every grid-4 box of at most four classes (611), then those on :data:`TIED_CHAINS` (15 + 15 + 105)."""
-    boxes = [box for m in range(1, 5) for box in iter_grid_pboxes(m, 4)]
+    boxes = [box for m in range(1, 5) for box in iter_chain_pboxes(default_chain(m), 4)]
     return tuple(boxes + [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)])
 
 
@@ -58,11 +58,6 @@ def precise(chain3: Chain) -> PBox:
 def cover_classes(runs):
     """The class indices a cover's runs span, ascending: ``l + 1 .. r`` for each run ``(l, r]``."""
     return tuple(i for left, right in runs for i in range(left + 1, right + 1))
-
-
-def class_upper(box, subset):
-    """:meth:`PBox.upper` on the labels of the classes with index in ``subset``."""
-    return box.upper(frozenset().union(*(box.chain.classes[i] for i in subset)))
 
 
 def every_event(labels):

@@ -41,18 +41,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv, timeout=60, **env):
-    """``python -m possbox.cli`` in a fresh process, with a time limit."""
+def run_process(argv, timeout=60, python=("-m", "possbox.cli"), **env):
+    """``python -m possbox.cli`` (or other ``python`` arguments) in a fresh process, with a time limit."""
     source = str(Path(possbox.__file__).resolve().parents[1])
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "possbox.cli", *argv],
+        [sys.executable, *python, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def test_the_command_line_imports_no_dataclasses():
+    # dataclasses took 11-13 ms of a 54-68 ms import of possbox.cli (Python 3.11.7).
+    script = "import sys, possbox.cli; print('dataclasses' in sys.modules)"
+    done = run_process([], python=("-S", "-c", script))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_distributions_have_one_writer(write_doc, capsys):
@@ -195,15 +202,20 @@ def test_error_line_names_the_first_offender_under_any_hash_seed(write_doc, doc,
         assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n"), seed
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
+NOT_UTF8 = (b"\xff\xfe", "error: unreadable document: 'utf-8' codec can't decode byte 0xff")
+NESTED = (b"[" * 100_000 + b"]" * 100_000, "error: unreadable document: maximum recursion depth")
+LONG_INTEGER = (b'{"pi": {"a": ' + b"1" * 5000 + b"}}", "error: unreadable document: Exceeds the limit")
+
+
+# The golden input-errors cases replay the stdin variants of the other two.
 @pytest.mark.parametrize(
-    "raw, line",
+    "raw, line, source",
     [
-        (b"\xff\xfe", "error: unreadable document: 'utf-8' codec can't decode byte 0xff"),
-        (b"[" * 100_000 + b"]" * 100_000, "error: unreadable document: maximum recursion depth"),
-        (b'{"pi": {"a": ' + b"1" * 5000 + b"}}", "error: unreadable document: Exceeds the limit"),
+        pytest.param(*NOT_UTF8, "file", id="not-utf8-file"),
+        pytest.param(*NESTED, "file", id="nested-file"),
+        pytest.param(*NESTED, "stdin", id="nested-stdin"),
+        pytest.param(*LONG_INTEGER, "file", id="long-integer-file"),
     ],
-    ids=["not-utf8", "nested", "long-integer"],
 )
 def test_unreadable_documents_exit_2(capsys, monkeypatch, tmp_path, source, raw, line):
     argv = ["validate"]

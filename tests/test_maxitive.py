@@ -12,7 +12,7 @@ from possbox import (
     zero_one_possibility,
     zero_one_profile,
 )
-from possbox.verify import iter_chain_pboxes, iter_grid_pboxes
+from possbox.verify import default_chain, iter_chain_pboxes
 
 
 def test_profiles(p1, p2, q, r, precise):
@@ -92,7 +92,7 @@ def test_upper_01_both_frozen(r, precise):
 
 
 def test_specialized_formulas_agree_with_general_route():
-    boxes = [box for m in range(1, 4) for box in iter_grid_pboxes(m, 2)]
+    boxes = [box for m in range(1, 4) for box in iter_chain_pboxes(default_chain(m), 2)]
     boxes += [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)]
     for box in boxes:
         profile = zero_one_profile(box)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import TIED_CHAINS, class_upper, every_event
+from conftest import TIED_CHAINS, every_event
 
 from possbox import (
     MarginalFamily,
@@ -195,7 +195,8 @@ def test_regions_answer_in_any_order(p1, p2, q):
         # The box cache holds one region; switching boxes costs speed, not answers.
         for r, o in order:
             box, subset = boxes[r], tuple(i for i in range(3) if objectives[o][i] == 1)
-            assert oracle.credal_upper_classes(box, subset) == class_upper(box, subset)
+            labels = [label for i in subset for label in box.chain.classes[i]]
+            assert oracle.credal_upper_classes(box, subset) == box.upper(labels)
 
 
 def test_a_float_equal_to_a_solved_rational_is_refused():
@@ -365,9 +366,6 @@ def test_check_coherence_on_fixtures(p1, p2, q, r, precise):
 def test_exhaustive_max_preserving(p1, p2):
     assert exhaustive_max_preserving(p1)
     assert not exhaustive_max_preserving(p2)
-    # the closed-form route reaches the same verdicts
-    assert exhaustive_max_preserving(p1, class_upper)
-    assert not exhaustive_max_preserving(p2, class_upper)
 
 
 @pytest.fixture

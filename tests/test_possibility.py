@@ -21,7 +21,7 @@ from possbox import (
 )
 from possbox.possibility import value_levels
 from possbox.rationals import ZERO
-from possbox.verify import iter_grid_pboxes
+from possbox.verify import default_chain, iter_chain_pboxes
 
 
 def test_distribution_validation():
@@ -222,7 +222,7 @@ def assert_bounds_are_the_decomposition_measures(box):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
-    for box in iter_grid_pboxes(m, 4):
+    for box in iter_chain_pboxes(default_chain(m), 4):
         assert_bounds_are_the_decomposition_measures(box)
 
 
@@ -230,7 +230,7 @@ def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
     # Every event of five labels, the empty and full ones and those that
     # cut a tied class among them, on every grid box with three classes.
     tied = TIED_CHAINS[-1]
-    for box in iter_grid_pboxes(3, 4):
+    for box in iter_chain_pboxes(default_chain(3), 4):
         assert_bounds_are_the_decomposition_measures(PBox(tied, box.lower_cdf, box.upper_cdf))
 
 

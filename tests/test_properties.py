@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import class_upper, cover_classes
+from conftest import cover_classes
 
 from possbox import (
     Chain,
@@ -110,7 +110,7 @@ def test_minimal_cover_properties(case):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(grid_pboxes(max_m=3))
 def test_maxitivity_decision_matches_semantics(box):
-    semantic = exhaustive_max_preserving(box, class_upper)
+    semantic = exhaustive_max_preserving(box)
     assert is_maxitive(box) == semantic
     pi = pbox_to_possibility(box)
     assert (pi is not None) == semantic
