@@ -42,9 +42,9 @@ def main() -> None:
     print()
 
     pi = PossibilityDistribution({"cold": "1/4", "mild": "1", "warm": "1/4", "hot": "3/4"})
-    level_chain, box = possibility_to_pbox(pi)
+    box = possibility_to_pbox(pi)
     print("embedding a distribution as a band on its level-set chain:")
-    print("  classes:", " < ".join("{" + ", ".join(sorted(c)) + "}" for c in level_chain.classes))
+    print("  classes:", " < ".join("{" + ", ".join(sorted(c)) + "}" for c in box.chain.classes))
     print("  lower:", [str(v) for v in box.lower_cdf])
     print("  upper:", [str(v) for v in box.upper_cdf])
     labels = sorted(pi.labels)

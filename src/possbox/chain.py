@@ -108,23 +108,6 @@ class Chain:
         except KeyError as exc:
             raise ValueError(f"unknown label {shown(repr(exc.args[0]))}") from None
 
-    def class_counts(self, labels: Iterable[Label]) -> list[int]:
-        """How many distinct labels of an event each class holds, by class index.
-
-        The event's complement meets class ``i`` exactly when the count is
-        below ``len(classes[i])``, so the complement's classes need no label
-        set.  The first unknown label in the caller's order is the one
-        reported.
-
-        >>> Chain([["a", "b"], ["c"]]).class_counts(["b", "b"])
-        [1, 0]
-        """
-        counts = [0] * self.m
-        index = self._index
-        for label in self.event(labels):
-            counts[index[label]] += 1
-        return counts
-
     def class_range_labels(self, lo: int, hi: int) -> frozenset[Label]:
         """Union of the classes with index in ``lo..hi`` (empty if lo > hi)."""
         out: set[Label] = set()
@@ -163,6 +146,7 @@ class Chain:
     # ----------------------------------------------------------- protocol
 
     def __eq__(self, other: object) -> bool:
+        # Only PBox.__eq__ calls this, for the benchmark's check of each pass's results.
         return isinstance(other, Chain) and self.classes == other.classes
 
     def __hash__(self) -> int:

@@ -203,7 +203,7 @@ def _to_possibility(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _from_possibility(pi: PossibilityDistribution, args: argparse.Namespace) -> tuple[dict, str]:
-    _, box = possibility_to_pbox(pi)
+    box = possibility_to_pbox(pi)
     payload = pbox_document(box)
     lines = [
         "classes: " + " < ".join("{" + ", ".join(cls) + "}" for cls in payload["classes"]),

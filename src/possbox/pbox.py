@@ -7,8 +7,8 @@ probabilities of the down-sets ``[bottom, x]`` and up-sets ``(y, top]``
 determines a coherent upper probability on *all* events; this module
 computes that value in closed form.  The value depends on an event only
 through the classes it hits: :meth:`PBox.upper` sums the mass forced into
-the gap before each hit class, and :meth:`PBox.lower` finds the classes of
-the complement by counting the event's labels per class.
+the gap before each hit class, and :meth:`PBox.lower` asks it of the
+classes the event does not contain, the classes its complement hits.
 :meth:`PBox.upper_on_union` takes the paper's route for the same event: it
 sums the forced mass over the gaps between the runs of the event's cover
 (:meth:`~possbox.chain.Chain.minimal_cover`), and a test holds the two
@@ -105,6 +105,7 @@ class PBox:
         return ZERO if i == SENTINEL else self.upper_cdf[i]
 
     def __eq__(self, other: object) -> bool:
+        # Unused in the package; the benchmark compares each pass's results, which hold boxes, by !=.
         return (
             isinstance(other, PBox)
             and self.chain == other.chain
@@ -176,14 +177,11 @@ class PBox:
         """Natural-extension lower probability, by conjugacy.
 
         ``lower(A) = 1 - upper(complement of A)``.  The complement hits
-        class ``i`` exactly when ``A`` holds fewer than all of its labels
-        (:meth:`~possbox.chain.Chain.class_counts`), so :meth:`upper` is
-        asked of one label of each such class, not of the complement's
-        label set.
+        exactly the classes ``A`` does not contain, so :meth:`upper` is asked
+        of one label of each such class, not of the complement's label set.
         """
-        classes = self.chain.classes
-        counts = self.chain.class_counts(event)
-        return ONE - self.upper([next(iter(cls)) for cls, n in zip(classes, counts) if n < len(cls)])
+        event = self.chain.event(event)
+        return ONE - self.upper([next(iter(cls)) for cls in self.chain.classes if not cls <= event])
 
     def singleton_upper(self, x: Label) -> Fraction:
         """Upper probability of ``{x}``: the cumulative jump room at its class."""

@@ -149,25 +149,23 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
     )
 
 
-def possibility_to_pbox(pi: PossibilityDistribution) -> tuple[Chain, PBox]:
+def possibility_to_pbox(pi: PossibilityDistribution) -> PBox:
     """Represent a possibility distribution as a probability box.
 
-    The chain orders elements by increasing possibility value (level sets
-    become classes); the upper cumulative vector lists those values and the
-    lower one is the indicator of the top class.  The box's upper
+    The box's chain orders elements by increasing possibility value (level
+    sets become classes); the upper cumulative vector lists those values and
+    the lower one is the indicator of the top class.  The box's upper
     probability then reproduces ``pi.measure`` on every event.
 
-    >>> chain, box = possibility_to_pbox(PossibilityDistribution({"x1": "1/2", "x2": 1}))
-    >>> [sorted(cls) for cls in chain.classes]
+    >>> box = possibility_to_pbox(PossibilityDistribution({"x1": "1/2", "x2": 1}))
+    >>> [sorted(cls) for cls in box.chain.classes]
     [['x1'], ['x2']]
     >>> box.upper_cdf
     (Fraction(1, 2), Fraction(1, 1))
     """
     grouped = value_levels(pi, pi)
-    chain = Chain(labels for _, labels in grouped)
     lower = [ZERO] * (len(grouped) - 1) + [ONE]
-    box = PBox(chain, lower, (v for v, _ in grouped))
-    return chain, box
+    return PBox(Chain(labels for _, labels in grouped), lower, (v for v, _ in grouped))
 
 
 def value_levels(
@@ -235,18 +233,18 @@ def conjunction_bounds(box: PBox, event: Iterable[Label]) -> tuple[Fraction, Fra
     ``1 - lower`` just below a class, never rises along the chain, and the
     second, ``upper`` at a class, never falls; so the first measures an
     event by its lowest class and the second by its highest.  The conjugates
-    need the same two end classes of the complement, which hits class ``i``
-    exactly when the event holds fewer than all of its labels
-    (:meth:`~possbox.chain.Chain.class_counts`).
+    need the same two end classes of the complement, which hits exactly the
+    classes the event does not contain.
 
     >>> from possbox.chain import Chain
     >>> box = PBox(Chain([["a"], ["b"], ["c"]]), ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])
     >>> [str(v) for v in conjunction_bounds(box, {"b"})]
     ['0', '4/5']
     """
-    counts = box.chain.class_counts(event)
-    hit = [i for i, n in enumerate(counts) if n]
-    missed = [i for i, (cls, n) in enumerate(zip(box.chain.classes, counts)) if n < len(cls)]
+    event = box.chain.event(event)
+    classes = box.chain.classes
+    hit = [i for i, cls in enumerate(classes) if not cls.isdisjoint(event)]
+    missed = [i for i, cls in enumerate(classes) if not cls <= event]
     approx_upper = min(ONE - box.lower_at(hit[0] - 1), box.upper_at(hit[-1])) if hit else ZERO
     approx_lower = max(box.lower_at(missed[0] - 1), ONE - box.upper_at(missed[-1])) if missed else ONE
     return approx_lower, approx_upper

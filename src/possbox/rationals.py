@@ -5,7 +5,8 @@ with ``str`` (``p/q`` or ``p``).  Inputs may be integers, fractions, or
 strings such as ``"1/2"`` or ``"0.8"`` (decimal strings parse exactly).
 Binary floats are rejected: ``0.8`` the float is not ``4/5``, and silently
 accepting it would poison every downstream equality.  Booleans are rejected
-too: a JSON ``true`` is not the number 1.
+too: a JSON ``true`` is not the number 1.  Any other value that is not a
+:class:`numbers.Rational`, a :class:`decimal.Decimal` included, is refused.
 
 A string is read in one syntax, the same on every supported Python: an
 optional ``+`` or ``-``, then either ASCII digits, ``/`` and ASCII digits,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,6 +72,8 @@ def exact(value: object) -> Fraction:
             if not denominator:
                 raise ValueError(f"not an exact rational: {shown(repr(value))}")
             return Fraction(int(number["numerator"]), denominator)
+    elif not isinstance(value, Rational):
+        raise ValueError(f"not an exact rational: {shown(repr(value))}")
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -61,6 +61,7 @@ class SuiteReport:
         self.counterexample = counterexample
 
     def __eq__(self, other: object) -> bool:
+        # Unused in the package; the benchmark compares each sweep pass's reports by !=.
         return isinstance(other, SuiteReport) and all(
             getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
@@ -278,7 +279,7 @@ def suite_roundtrip(
     for _ in range(samples):
         pi = _random_distribution(rng, max_domain, grid_den)
         report.cases += 1
-        _, box = possibility_to_pbox(pi)
+        box = possibility_to_pbox(pi)
         labels = tuple(sorted(pi.labels))
         events = events_over.get(labels)
         if events is None:

@@ -18,6 +18,13 @@ from the change being checked::
 ``PATH`` is a checkout or an unpacked ``git archive``.  The script uses the
 standard library alone: it imports ``possbox`` from ``PATH/src``, runs the
 demos of ``PATH/demos`` and rewrites ``tests/golden/`` beside itself.
+
+Replay the files against the checkout holding this script, with the same
+comparison as ``test_golden.py`` and no pytest, on any installed Python::
+
+    python tests/golden_corpus.py --check
+
+It names each case that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REPO = GOLDEN.parents[1]
 PYTHON = "{}.{}".format(*sys.version_info)
 
 # ------------------------------------------------------------------ models
@@ -257,18 +265,37 @@ def run_case(case: dict, tree: Path) -> dict:
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
+def differs(case: dict) -> bool:
+    """Whether a recorded case, replayed against this checkout, gives other output."""
+    got = run_case(case, REPO)
+    if case.get("stdlib_text", PYTHON) != PYTHON:
+        # The standard library words this text, and its wording moves
+        # between Python versions; compare its shape only.
+        return (
+            got["exit"] != case["exit"]
+            or (got["stdout"] == "") != (case["stdout"] == "")
+            or got["stderr"].count("\n") != case["stderr"].count("\n")
+        )
+    return got != {key: case[key] for key in got}
+
+
 def load() -> dict[str, list[dict]]:
     """Every group of the committed corpus, by file stem."""
     return {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.json"))}
 
 
-def write(tree: Path) -> None:
-    """Run every case against ``tree`` and rewrite the corpus files."""
+def _import_from(tree: Path) -> None:
+    """Import ``possbox`` from ``tree/src`` and from nowhere else."""
     sys.path.insert(0, str(tree / "src"))
     import possbox
 
     if tree / "src" not in Path(possbox.__file__).resolve().parents:
         raise SystemExit(f"possbox was imported from {possbox.__file__}, not from {tree / 'src'}")
+
+
+def write(tree: Path) -> None:
+    """Run every case against ``tree`` and rewrite the corpus files."""
+    _import_from(tree)
     GOLDEN.mkdir(exist_ok=True)
     for group, build in GROUPS.items():
         cases = []
@@ -284,7 +311,25 @@ def write(tree: Path) -> None:
         print(f"{group}: {len(cases)} cases")
 
 
+def check() -> int:
+    """Replay the committed corpus against this checkout; the number of cases that differ."""
+    _import_from(REPO)
+    failed = 0
+    for group, cases in load().items():
+        differing = [case["name"] for case in cases if differs(case)]
+        print(f"{group}: {len(cases)} cases, {len(differing)} differ")
+        for name in differing:
+            print(f"  {name}")
+        failed += len(differing)
+    return failed
+
+
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Rewrite tests/golden/ from a source tree.")
-    parser.add_argument("--tree", required=True, type=Path, help="checkout holding src/possbox and demos/")
-    write(parser.parse_args().tree.resolve())
+    parser = argparse.ArgumentParser(description="Rewrite tests/golden/ from a source tree, or replay it.")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tree", type=Path, help="checkout holding src/possbox and demos/; rewrite the corpus from it")
+    mode.add_argument("--check", action="store_true", help="replay the corpus against this checkout; exit 1 if a case differs")
+    args = parser.parse_args()
+    if args.check:
+        sys.exit(1 if check() else 0)
+    write(args.tree.resolve())

@@ -31,6 +31,8 @@ def test_event_validates_labels(chain3):
     assert chain3.event(["a", "c"]) == frozenset({"a", "c"})
     with pytest.raises(ValueError):
         chain3.event(["a", "z"])
+    with pytest.raises(ValueError, match="^unknown label 'z'$"):
+        chain3.index_of("z")
 
 
 def test_complement(chain3):

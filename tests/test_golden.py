@@ -8,13 +8,11 @@ recorded code.  ``golden_corpus.py`` says how the files are written.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from golden_corpus import PYTHON, load, run_case
+from golden_corpus import REPO, differs, load
 
-REPO = Path(__file__).resolve().parents[1]
 CORPUS = load()
 
 
@@ -22,22 +20,9 @@ def test_corpus_holds_every_group():
     assert sorted(CORPUS) == ["argv-errors", "bounds", "demos", "help", "input-errors", "models", "suites"]
 
 
-def _differs(case: dict) -> bool:
-    got = run_case(case, REPO)
-    if case.get("stdlib_text", PYTHON) != PYTHON:
-        # The standard library words this text, and its wording moves
-        # between Python versions; compare its shape only.
-        return (
-            got["exit"] != case["exit"]
-            or (got["stdout"] == "") != (case["stdout"] == "")
-            or got["stderr"].count("\n") != case["stderr"].count("\n")
-        )
-    return got != {key: case[key] for key in got}
-
-
 @pytest.mark.parametrize("group", sorted(CORPUS))
 def test_group_replays_byte_identical(group):
-    differing = [case["name"] for case in CORPUS[group] if _differs(case)]
+    differing = [case["name"] for case in CORPUS[group] if differs(case)]
     assert differing == []
 
 

@@ -80,6 +80,13 @@ def test_combine_rectangle_rejects_unknown_rule(family_2x2):
         combine_rectangle(family_2x2, ({"u"}, {"s"}), "comonotone")
 
 
+def test_family_and_rectangle_error_lines(family_2x2):
+    with pytest.raises(ValueError, match="^a marginal family needs at least one marginal$"):
+        MarginalFamily([])
+    with pytest.raises(ValueError, match="^rectangle has 1 components, family has 2$"):
+        combine_rectangle(family_2x2, ({"u"},), "frechet")
+
+
 def test_least_conservative_check_rejects_unknown_rule(family_2x2):
     with pytest.raises(ValueError, match=UNKNOWN_RULE):
         least_conservative_check(family_2x2, joint_frechet(family_2x2), "comonotone")

@@ -456,6 +456,11 @@ def test_intersection_fails_with_vacuous_component(p1):
     assert not credal_intersection_equal(p1, pi_one, vacuous)
 
 
+def test_credal_upper_classes_refuses_an_index_out_of_range(p1, no_lp):
+    with pytest.raises(ValueError, match=f"^class index {p1.m} out of range$"):
+        oracle.credal_upper_classes(p1, (p1.m,))
+
+
 def test_intersection_guards(p1, no_lp):
     good = PossibilityDistribution({x: 1 for x in "abc"})
     bad = PossibilityDistribution({"a": 1, "b": 1})

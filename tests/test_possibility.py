@@ -139,16 +139,16 @@ def test_pbox_to_possibility_reads_only_the_cumulative_vectors(monkeypatch):
 
 def test_possibility_to_pbox_two_point():
     pi = PossibilityDistribution({"x1": "1/2", "x2": "1"})
-    chain, box = possibility_to_pbox(pi)
-    assert chain.classes == (frozenset({"x1"}), frozenset({"x2"}))
+    box = possibility_to_pbox(pi)
+    assert box.chain.classes == (frozenset({"x1"}), frozenset({"x2"}))
     assert box.lower_cdf == (0, 1)
     assert box.upper_cdf == (Fraction(1, 2), 1)
 
 
 def test_possibility_to_pbox_groups_equal_levels():
     pi = PossibilityDistribution({"a": "1/2", "b": "1/2", "c": "1"})
-    chain, box = possibility_to_pbox(pi)
-    assert chain.classes == (frozenset({"a", "b"}), frozenset({"c"}))
+    box = possibility_to_pbox(pi)
+    assert box.chain.classes == (frozenset({"a", "b"}), frozenset({"c"}))
     assert box.upper_cdf == (Fraction(1, 2), 1)
 
 
@@ -157,8 +157,8 @@ def test_value_levels_sort_values_and_keep_the_given_label_order():
     half = Fraction(1, 2)
     assert value_levels(pi, ["b", "a", "c", "d"]) == ((0, ("d",)), (half, ("b", "c")), (1, ("a",)))
     assert value_levels(pi, pi) == ((0, ("d",)), (half, ("c", "b")), (1, ("a",)))
-    chain, box = possibility_to_pbox(pi)
-    assert chain.classes == tuple(frozenset(labels) for _, labels in value_levels(pi, pi))
+    box = possibility_to_pbox(pi)
+    assert box.chain.classes == tuple(frozenset(labels) for _, labels in value_levels(pi, pi))
     assert box.upper_cdf == (0, half, 1)
 
 
@@ -170,8 +170,8 @@ def test_possibility_round_trip_examples():
     ]
     for raw in samples:
         pi = PossibilityDistribution(raw)
-        chain, box = possibility_to_pbox(pi)
-        assert chain.labels == pi.labels
+        box = possibility_to_pbox(pi)
+        assert box.chain.labels == pi.labels
         for event in every_event(pi.labels):
             assert box.upper(event) == pi.measure(event)
 

@@ -119,7 +119,7 @@ def test_maxitivity_decision_matches_semantics(box):
 @settings(derandomize=True)
 @given(grid_distributions(), st.integers(0, 2**5 - 1))
 def test_possibility_round_trip(pi, mask):
-    chain, box = possibility_to_pbox(pi)
+    box = possibility_to_pbox(pi)
     labels = sorted(pi.labels)
     event = frozenset(x for k, x in enumerate(labels) if mask >> k & 1 and k < len(labels))
     assert box.upper(event) == pi.measure(event)

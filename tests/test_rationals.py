@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -100,3 +101,23 @@ def test_a_zero_denominator_is_not_an_exact_rational(text):
     with pytest.raises(ValueError) as raised:
         exact(text)
     assert str(raised.value) == f"not an exact rational: {text!r}"
+
+
+#: ``(value, what exact reads)`` for values that are not strings: only a
+#: ``numbers.Rational`` reaches ``Fraction``.  A ``Decimal`` does not, so an
+#: infinite one cannot escape as ``OverflowError`` and a huge exponent is not
+#: expanded.
+NOT_STRINGS = (
+    (7, Fraction(7)),
+    (Fraction(-2, 6), Fraction(-1, 3)),
+    (Decimal("1.5"), NOT_A_RATIONAL),
+    (Decimal("Infinity"), NOT_A_RATIONAL),
+    (Decimal("1E+999999"), NOT_A_RATIONAL),
+    (None, NOT_A_RATIONAL),
+    ([], NOT_A_RATIONAL),
+)
+
+
+@pytest.mark.parametrize("value, expected", NOT_STRINGS, ids=[repr(value) for value, _ in NOT_STRINGS])
+def test_exact_hands_only_rationals_to_fraction(value, expected):
+    assert read(value) == expected

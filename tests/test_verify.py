@@ -36,6 +36,8 @@ from possbox.verify import (
 def test_grid_values():
     assert grid_values(2) == (0, Fraction(1, 2), 1)
     assert grid_values(1) == (0, 1)
+    with pytest.raises(ValueError, match="^grid denominator must be at least 1$"):
+        grid_values(0)
 
 
 def test_iter_cdf_vectors_end_at_one():
@@ -541,10 +543,9 @@ NOT_ANSWERS = {
     "Chain.labels": "model data",
     "Chain.labels_by_class": "the one within-class order of labels",
     "Chain.index_of": "a label's class, read by singleton_upper",
-    "Chain.event": "event validation, read by class_counts and the oracle",
+    "Chain.event": "event validation, read by PBox.lower, conjunction_bounds and the oracle",
     "Chain.complement": "the command line's --complement, and credal_lower",
     "Chain.classes_hit": "the hit classes PBox.upper and the 0-1 forms read",
-    "Chain.class_counts": "the per-class counts PBox.lower and conjunction_bounds read",
     "Chain.class_range_labels": "the paper's order interval, used by the README quick start",
     "PBox.chain": "model data",
     "PBox.lower_cdf": "model data",
