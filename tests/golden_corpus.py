@@ -68,7 +68,6 @@ MARGINALS = {
     "two": {"marginals": [{"u": "1/2", "v": "1"}, {"s": "3/10", "t": "1"}]},
     "three": {"marginals": [{"u": "1/2", "v": "1", "w": "1/2"}, {"s": "1"}, {"p": "1/4", "q": "1"}]},
 }
-SUITES = ("oracle", "maxitive", "roundtrip", "conjunction", "multivariate")
 COMMANDS = (
     "validate", "upper", "lower", "is-maxitive", "to-possibility",
     "from-possibility", "decompose", "bounds", "joint", "verify",
@@ -202,6 +201,9 @@ def _help() -> list[dict]:
 
 
 def _suites() -> list[dict]:
+    """Every suite of the tree under comparison, in its table's order, at sizes 2 and 3."""
+    from possbox.verify import SUITES
+
     cases = []
     for size in ("2", "3"):
         for suite in SUITES:

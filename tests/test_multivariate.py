@@ -223,7 +223,7 @@ def test_rectangles_are_dominated_by_joint_measures():
                 assert measure >= combine_rectangle(family, (first, second), rule)
 
 
-def _brute_force_rectangle_values(family):
+def _enumerated_rectangle_vectors(family):
     """Measure vectors of every rectangle of non-empty events, by enumeration."""
     events = [
         [combo for k in range(1, len(domain) + 1) for combo in combinations(domain, k)]
@@ -240,14 +240,14 @@ def _rectangle_count(family):
     return prod(2 ** len(domain) - 1 for domain in family.domains)
 
 
-def test_rectangle_values_match_enumeration_on_the_suite_pool():
+def test_rectangle_vectors_match_enumeration_on_the_suite_pool():
     # The suite checks rectangle dominance once per vector of family.vectors()
     # and counts the rectangles from the domain sizes alone.
     pool = _canonical_marginals(3, 4)
     assert len(pool) ** 2 == 441
     for chosen in product(pool, repeat=2):
         family = MarginalFamily(chosen)
-        table = _brute_force_rectangle_values(family)
+        table = _enumerated_rectangle_vectors(family)
         assert set(table) == {values for values, *_ in family.vectors()}
         assert sum(table.values()) == _rectangle_count(family)
 
@@ -275,7 +275,7 @@ def test_vectors_match_the_rectangle_vectors():
         ]
     )
     vectors = [values for values, *_ in family.vectors()]
-    assert vectors == sorted(_brute_force_rectangle_values(family))
+    assert vectors == sorted(_enumerated_rectangle_vectors(family))
     assert family.vectors()[2][3] == (("b", "s"), ("c", "s"))
 
 
@@ -286,7 +286,7 @@ def test_building_a_family_visits_no_product_point():
     assert combine_rectangle(family, [{"a"}] * 40, "frechet") == Fraction(1, 2)
 
 
-def test_rectangle_values_with_ties_and_zero():
+def test_rectangle_vectors_with_ties_and_zero():
     family = MarginalFamily(
         [
             PossibilityDistribution({"a": "0", "b": "1/2", "c": "1/2", "d": "1"}),
@@ -294,7 +294,7 @@ def test_rectangle_values_with_ties_and_zero():
             PossibilityDistribution({"w": "1"}),
         ]
     )
-    table = _brute_force_rectangle_values(family)
+    table = _enumerated_rectangle_vectors(family)
     assert set(table) == {values for values, *_ in family.vectors()}
     assert sum(table.values()) == _rectangle_count(family) == 15 * 7
     half = Fraction(1, 2)

@@ -59,6 +59,12 @@ def test_simplex_detects_infeasibility():
         simplex_max(1, rows, [1])
 
 
+def test_simplex_detects_an_unbounded_objective():
+    # max x over x >= 0 alone.
+    with pytest.raises(ArithmeticError, match="^unbounded objective in a credal program$"):
+        simplex_max(1, [], [1])
+
+
 def test_simplex_redundant_equalities():
     rows = [([1, 1], "==", 1), ([2, 2], "==", 2)]
     assert simplex_max(2, rows, [1, 0]) == 1
@@ -136,6 +142,28 @@ def test_phase_one_runs_once_per_region(p1, regions_built):
     assert check_coherence(p1) and exhaustive_max_preserving(p1)
     assert credal_upper(p1, {"a", "c"}) == 1 and credal_lower(p1, {"c"}) == Fraction(1, 5)
     assert len(regions_built) == 1 and regions_built[0] is oracle._box_region(p1)
+
+
+def test_check_coherence_fails_at_a_down_set_and_at_an_up_set(p1):
+    asked = []
+
+    def raised_where(wrong):
+        def upper(box, subset):
+            asked.append(subset)
+            value = oracle.credal_upper_classes(box, subset)
+            return value + Fraction(1, 128) if wrong(subset) else value
+
+        return upper
+
+    assert check_coherence(p1, raised_where(lambda subset: False))
+    # A wrong optimum on the down-set [bottom, x] fails at the first question ...
+    asked.clear()
+    assert not check_coherence(p1, raised_where(lambda subset: 0 in subset))
+    assert asked == [(0,)]
+    # ... and on the up-set (x, top] at the second.
+    asked.clear()
+    assert not check_coherence(p1, raised_where(lambda subset: 0 not in subset))
+    assert asked == [(0,), (1, 2)]
 
 
 def test_intersection_check_runs_phase_one_once_per_region(p2, regions_built):

@@ -161,7 +161,20 @@ def test_single_class_chain():
     assert box.upper(frozenset()) == 0
 
 
-def test_hit_class_sum_and_class_count_complement_equal_the_label_set_routes(grid4_boxes):
+def test_box_equality_hash_and_repr():
+    # The benchmark compares each pass's results, which hold boxes, by !=.
+    chain = Chain([["b", "a"], ["c"]])
+    half = PBox(chain, ["0.5", "1"], ["1", "1"])
+    same = PBox(chain, ["1/2", "1"], ["1", "1"])
+    assert half == same and hash(half) == hash(same)
+    assert half != PBox(chain, ["1/4", "1"], ["1", "1"])
+    assert half != PBox(chain, ["1/2", "1"], ["3/4", "1"])
+    assert half != PBox(Chain([["a"], ["b", "c"]]), ["1/2", "1"], ["1", "1"])
+    assert repr(chain) == "Chain({a, b}, {c})"
+    assert repr(half) == "PBox(Chain({a, b}, {c}), lower=(1/2, 1), upper=(1, 1))"
+
+
+def test_hit_class_sum_and_missed_class_complement_equal_the_label_set_routes(grid4_boxes):
     # Every event of every grid-4 box with m <= 4, and of the tied chains whose
     # events cut their tied classes: upper against the cover by runs, lower
     # against the upper value of the complement's label set.
