@@ -45,6 +45,35 @@ def test_class_range_labels(chain3):
     assert chain3.class_range_labels(SENTINEL, SENTINEL) == frozenset()
 
 
+def test_minimal_cover_examples(chain3):
+    assert chain3.minimal_cover({"a", "c"}) == ((SENTINEL, 0), (1, 2))
+    assert chain3.minimal_cover({"b"}) == ((0, 1),)
+    assert chain3.minimal_cover({"a", "b", "c"}) == ((SENTINEL, 2),)
+    assert chain3.minimal_cover(frozenset()) == ()
+
+
+def test_minimal_cover_merges_adjacent_classes(chain3):
+    assert chain3.minimal_cover({"a", "b"}) == ((SENTINEL, 1),)
+
+
+def test_minimal_cover_is_least_superset():
+    # The cover of A uses exactly the classes A hits: dropping any class of
+    # the cover loses part of A, and every other covering union is larger.
+    for m in range(1, 6):
+        chain = Chain([[f"x{i}"] for i in range(m)])
+        for event in every_event(chain.labels):
+            cover = chain.minimal_cover(event)
+            classes = cover_classes(cover)
+            assert event <= frozenset().union(*(chain.classes[i] for i in classes))
+            assert classes == chain.classes_hit(event)
+
+
+def test_minimal_cover_idempotent(chain3):
+    cover = chain3.minimal_cover({"a", "c"})
+    again = chain3.minimal_cover(frozenset().union(*(chain3.classes[i] for i in cover_classes(cover))))
+    assert again == cover
+
+
 def test_minimal_cover_spans_exactly_the_classes_hit_on_every_event():
     chain = Chain([["a"], ["b", "b2"], ["c"], ["d"], ["e", "e2"]])
     for event in every_event(chain.labels):

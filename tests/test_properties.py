@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import cover_classes
 
 from possbox import (
     Chain,
@@ -91,6 +92,19 @@ def test_lower_superadditive_on_disjoint(case):
 def test_formula_agrees_with_credal_oracle(case):
     box, event_a, _ = case
     assert box.upper(event_a) == credal_upper(box, event_a)
+
+
+@settings(derandomize=True)
+@given(boxes_with_events())
+def test_minimal_cover_properties(case):
+    box, event_a, _ = case
+    chain = box.chain
+    cover = chain.minimal_cover(event_a)
+    classes = cover_classes(cover)
+    covered = frozenset().union(*(chain.classes[i] for i in classes))
+    assert event_a <= covered
+    assert classes == chain.classes_hit(event_a)
+    assert chain.minimal_cover(covered) == cover
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
