@@ -42,13 +42,13 @@ def main() -> None:
     print()
 
     # An order interval is the event made of the classes it spans.
-    tue, wed, thu = (chain.index_of(day) for day in ("tue", "wed", "thu"))
+    tue, wed, thu = chain.classes_hit(("tue", "wed", "thu"))
     print("interval forms on (tue, thu] and friends:")
     for left, lo in (("(", tue + 1), ("[", tue)):
         for right, hi in ((")", thu - 1), ("]", thu)):
             value = box.upper(chain.class_range_labels(lo, hi))
             print(f"  upper {left}tue, thu{right} = {value}")
-    print(f"  upper of the singleton wed = {box.singleton_upper('wed')}")
+    print(f"  upper of the singleton wed = {box.upper({'wed'})}")
     print()
     print("note: (tue, wed) between adjacent classes is empty, so:")
     print(f"  upper (tue, wed) = {box.upper(chain.class_range_labels(tue + 1, wed - 1))}")

@@ -33,18 +33,20 @@ class Chain:
     >>> chain.m
     3
     >>> tied = Chain([["low", "also_low"], ["high"]])
-    >>> tied.index_of("low") == tied.index_of("also_low")
+    >>> tied.classes_hit(["low"]) == tied.classes_hit(["also_low"])
     True
     """
 
     __slots__ = ("classes", "_index")
 
     def __init__(self, classes: Iterable[Iterable[Label]]):
-        listed = [list(cls) for cls in classes]
+        listed = [cls if isinstance(cls, str) else list(cls) for cls in classes]
         if not listed:
             raise ValueError("a chain needs at least one class")
         index: dict[Label, int] = {}
         for i, cls in enumerate(listed):
+            if isinstance(cls, str):
+                raise ValueError(f"class {i} is a string, not a list of labels")
             if not cls:
                 raise ValueError(f"class {i} is empty")
             for label in cls:
@@ -75,12 +77,6 @@ class Chain:
         ((0, 'a'), (0, 'c'), (1, 'b'))
         """
         return tuple((i, label) for i, cls in enumerate(self.classes) for label in sorted(cls))
-
-    def index_of(self, label: Label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown label {shown(repr(label))}") from None
 
     # ------------------------------------------------------------- events
 

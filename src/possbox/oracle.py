@@ -278,7 +278,7 @@ def _box_region(box: PBox) -> Region:
     n = sum(sizes)
     rows: list[Row] = []
     covered = 0
-    for i in range(box.m - 1):
+    for i in range(box.chain.m - 1):
         covered += sizes[i]
         prefix = [ONE] * covered + [ZERO] * (n - covered)
         if box.upper_cdf[i] != ONE:
@@ -299,7 +299,7 @@ def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
     if not hit:
         return ZERO
     for i in sorted(hit):
-        if not 0 <= i < box.m:
+        if not 0 <= i < box.chain.m:
             raise ValueError(f"class index {i} out of range")
     objective = [ONE if i in hit else ZERO for i, cls in enumerate(box.chain.classes) for _ in cls]
     region = _box_region(box)
@@ -344,7 +344,7 @@ def check_coherence(box: PBox, upper: ClassUpper | None = None) -> bool:
     """
     if upper is None:
         upper = credal_upper_classes
-    m = box.m
+    m = box.chain.m
     for i in range(m):
         if upper(box, tuple(range(i + 1))) != box.upper_cdf[i]:
             return False
@@ -361,7 +361,7 @@ def exhaustive_max_preserving(box: PBox) -> bool:
     each union indexed by its bitmask over the class indices and valued by
     the LP oracle.  Refuses a chain of more than :data:`MAX_CLASSES` classes.
     """
-    m = box.m
+    m = box.chain.m
     if m > MAX_CLASSES:
         raise ValueError(f"chain has {m} classes; refusing to enumerate beyond {MAX_CLASSES}")
     value = [credal_upper_classes(box, subset) for subset in class_subsets(m)]

@@ -92,10 +92,6 @@ class PBox:
 
     # ------------------------------------------------------------ basics
 
-    @property
-    def m(self) -> int:
-        return self.chain.m
-
     def lower_at(self, i: int) -> Fraction:
         """Lower cumulative value at class ``i``; the sentinel ``-1`` gives 0."""
         return ZERO if i == SENTINEL else self.lower_cdf[i]
@@ -143,7 +139,7 @@ class PBox:
         lo, up = self._lower_num, self._upper_num
         forced = 0
         prev_right = SENTINEL
-        for left, right in (*self.chain.minimal_cover(event), (self.m - 1, None)):
+        for left, right in (*self.chain.minimal_cover(event), (len(self.lower_cdf) - 1, None)):
             gap = lo[left] - up[prev_right]
             if gap > 0:
                 forced += gap
@@ -182,8 +178,3 @@ class PBox:
         """
         event = self.chain.event(event)
         return ONE - self.upper([next(iter(cls)) for cls in self.chain.classes if not cls <= event])
-
-    def singleton_upper(self, x: Label) -> Fraction:
-        """Upper probability of ``{x}``: the cumulative jump room at its class."""
-        i = self.chain.index_of(x)
-        return self.upper_at(i) - self.lower_at(i - 1)

@@ -135,9 +135,10 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
 
     Succeeds exactly when the box is maxitive (see
     :func:`possbox.maxitive.is_maxitive`); returns ``None`` otherwise, never
-    a partial distribution.  The distribution assigns each element its
-    singleton upper probability, :meth:`~possbox.pbox.PBox.singleton_upper`;
-    the cost is linear in the number of elements.  The identity
+    a partial distribution.  The distribution assigns each element of class
+    ``i`` its singleton upper probability, the cumulative jump room
+    ``upper(i) - lower(i - 1)``, read off the two vectors; the cost is linear
+    in the number of elements.  The identity
     ``upper(A) == max over x in A of upper({x})`` on every union of classes
     is checked exhaustively by the ``roundtrip`` verification suite, not
     here.
@@ -145,7 +146,7 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
     if not is_maxitive(box):
         return None
     return PossibilityDistribution(
-        {label: box.singleton_upper(label) for _, label in box.chain.labels_by_class()}
+        {label: box.upper_at(i) - box.lower_at(i - 1) for i, label in box.chain.labels_by_class()}
     )
 
 

@@ -180,7 +180,7 @@ def suite_oracle(max_classes: int = 5, grid_den: int = 4) -> SuiteReport:
                     closed_form=str(formula),
                     credal_optimum=str(optimum),
                 )
-        report.checks += 2 * box.m
+        report.checks += 2 * box.chain.m
         if not check_coherence(box, lambda _, subset: optima[subset]):
             return report.fail(
                 document=pbox_document(box),

@@ -8,13 +8,12 @@ from possbox.chain import class_subsets
 def test_chain_basic_queries(chain3):
     assert chain3.m == 3
     assert chain3.labels == frozenset({"a", "b", "c"})
-    assert chain3.index_of("b") == 1
+    assert chain3.classes_hit({"b"}) == (1,)
 
 
 def test_chain_ties_share_a_class():
     tied = Chain([["a", "b"], ["c"]])
-    assert tied.index_of("a") == tied.index_of("b") == 0
-    assert tied.classes_hit({"a"}) == (0,)
+    assert tied.classes_hit({"a"}) == tied.classes_hit({"b"}) == (0,)
     assert tied.classes_hit({"b", "c"}) == (0, 1)
 
 
@@ -25,6 +24,11 @@ def test_chain_rejects_bad_input():
         Chain([["a"], []])
     with pytest.raises(ValueError):
         Chain([["a"], ["a"]])
+    # A bare string is one label's name, not a class of its characters.
+    with pytest.raises(ValueError, match="^class 0 is a string, not a list of labels$"):
+        Chain(["ab", ["c"]])
+    with pytest.raises(ValueError, match="^class 0 is a string, not a list of labels$"):
+        Chain(["mon", "tue", "wed"])
 
 
 def test_event_validates_labels(chain3):
@@ -32,7 +36,7 @@ def test_event_validates_labels(chain3):
     with pytest.raises(ValueError):
         chain3.event(["a", "z"])
     with pytest.raises(ValueError, match="^unknown label 'z'$"):
-        chain3.index_of("z")
+        chain3.classes_hit(["z"])
 
 
 def test_complement(chain3):

@@ -328,7 +328,7 @@ ORACLE_IMPORTS = {
     "possbox.rationals": None,
 }
 #: The attributes oracle.py may read on a name ``box``: the box as constraint rows.
-ORACLE_BOX_READS = {"chain", "m", "lower_cdf", "upper_cdf"}
+ORACLE_BOX_READS = {"chain", "lower_cdf", "upper_cdf"}
 
 
 def oracle_independence_breaches(source: str) -> list[str]:
@@ -485,8 +485,8 @@ def test_intersection_fails_with_vacuous_component(p1):
 
 
 def test_credal_upper_classes_refuses_an_index_out_of_range(p1, no_lp):
-    with pytest.raises(ValueError, match=f"^class index {p1.m} out of range$"):
-        oracle.credal_upper_classes(p1, (p1.m,))
+    with pytest.raises(ValueError, match=f"^class index {p1.chain.m} out of range$"):
+        oracle.credal_upper_classes(p1, (p1.chain.m,))
 
 
 def test_intersection_guards(p1, no_lp):

@@ -123,9 +123,9 @@ def test_open_interval_between_adjacent_points_is_empty(p2):
 
 
 def test_singleton_upper(p2):
-    assert p2.singleton_upper("a") == Fraction(1, 2)
-    assert p2.singleton_upper("b") == Fraction(4, 5) - Fraction(1, 5)
-    assert p2.singleton_upper("c") == Fraction(3, 5)
+    assert p2.upper({"a"}) == Fraction(1, 2)
+    assert p2.upper({"b"}) == Fraction(4, 5) - Fraction(1, 5)
+    assert p2.upper({"c"}) == Fraction(3, 5)
 
 
 def test_upper_is_monotone_and_subadditive(p2):

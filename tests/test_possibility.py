@@ -102,24 +102,6 @@ def test_pbox_to_possibility_matches_upper_everywhere(p1, q, r, precise):
             assert pi.measure(event) == box.upper(event)
 
 
-def test_pbox_to_possibility_follows_singleton_upper(p1, q, monkeypatch):
-    # Each element's value is PBox.singleton_upper, not a second copy of it.
-    # Values below 1 move up by 1/128; those at 1 stay, so the result is normalized.
-    original = PBox.singleton_upper
-
-    def nudged(box, x):
-        value = original(box, x)
-        return value if value == 1 else value + Fraction(1, 128)
-
-    before = [pbox_to_possibility(box) for box in (p1, q)]
-    monkeypatch.setattr(PBox, "singleton_upper", nudged)
-    for box, pi in zip((p1, q), before):
-        moved = pbox_to_possibility(box)
-        assert list(moved) == list(pi)
-        assert [moved[x] for x in pi] == [v if v == 1 else v + Fraction(1, 128) for _, v in pi.items()]
-    assert pbox_to_possibility(p1)["a"] == Fraction(1, 2) + Fraction(1, 128)
-
-
 def test_pbox_to_possibility_reads_only_the_cumulative_vectors(monkeypatch):
     # Conversion must not re-check the max-decomposition identity on the
     # 2^m unions of classes; no closed-form upper value may be asked for.

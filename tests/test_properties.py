@@ -136,7 +136,7 @@ def test_interval_forms_match_general_route(box):
     # upper(hi) - lower(lo - 1), and an interval spanning no class has 0.
     chain = box.chain
     for i, cls in enumerate(chain.classes):
-        assert box.singleton_upper(sorted(cls)[0]) == box.upper(cls)
+        assert box.upper({sorted(cls)[0]}) == box.upper(cls) == box.upper_at(i) - box.lower_at(i - 1)
         for j in range(i + 1, chain.m):
             # (x, y], [x, y], (x, y) and [x, y) for x in class i and y in class j.
             for lo in (i + 1, i):
