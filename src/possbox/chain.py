@@ -84,7 +84,9 @@ class Chain:
         """Normalize an event, rejecting labels outside the space.
 
         The first unknown label in the caller's order is the one reported.
+        A bare string is refused, not read as a set of its characters.
         """
+        _refuse_string(labels)
         listed = list(labels)
         for label in listed:
             if label not in self._index:
@@ -98,7 +100,9 @@ class Chain:
         """Sorted indices of the classes an event intersects.
 
         The first unknown label in the caller's order is the one reported.
+        A bare string is refused, not read as a set of its characters.
         """
+        _refuse_string(labels)
         try:
             return tuple(sorted(set(map(self._index.__getitem__, labels))))
         except KeyError as exc:
@@ -151,6 +155,11 @@ class Chain:
     def __repr__(self) -> str:
         body = ", ".join("{" + ", ".join(sorted(cls)) + "}" for cls in self.classes)
         return f"Chain({body})"
+
+
+def _refuse_string(labels: Iterable[Label]) -> None:
+    if isinstance(labels, str):
+        raise ValueError(f"event {shown(repr(labels))} is a string, not a list of labels")
 
 
 def class_subsets(m: int) -> list[tuple[int, ...]]:

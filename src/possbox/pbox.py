@@ -16,10 +16,12 @@ routes equal.  The companion :mod:`possbox.oracle` recovers the same
 numbers by direct optimization over the credal set, so every formula here
 is cross-checkable against an independent route.
 
-As in the oracle's tableau, the arithmetic runs on integers: a box keeps
-each bound's numerator over the one common denominator of all ``2m``
-values, checks itself and sums forced mass on those numerators, and makes
-a :class:`~fractions.Fraction` only for the value it returns.  The public
+As in the oracle's tableau, the arithmetic runs on integers.  A build
+reads each distinct value string once, in a dict that lives only as long
+as the build, so nothing is cached across calls.  A box keeps each
+bound's numerator over the one common denominator of all ``2m`` values,
+checks itself and sums forced mass on those numerators, and makes a
+:class:`~fractions.Fraction` only for the value it returns.  The public
 vectors ``lower_cdf`` and ``upper_cdf`` stay ``Fraction`` tuples; the
 oracle reads those, never the numerators.
 """
@@ -31,7 +33,7 @@ from math import lcm
 from typing import Iterable
 
 from possbox.chain import SENTINEL, Chain, Label
-from possbox.rationals import ONE, ZERO, exact, shown
+from possbox.rationals import ONE, ZERO, _exact_each, shown
 
 
 class PBox:
@@ -58,8 +60,9 @@ class PBox:
         lower: Iterable[object],
         upper: Iterable[object],
     ):
-        lo = tuple(exact(v) for v in lower)
-        up = tuple(exact(v) for v in upper)
+        seen: dict[str, Fraction] = {}
+        lo = tuple(_exact_each(lower, "lower", seen))
+        up = tuple(_exact_each(upper, "upper", seen))
         m = chain.m
         if len(lo) != m or len(up) != m:
             raise ValueError(

@@ -39,6 +39,19 @@ def test_event_validates_labels(chain3):
         chain3.classes_hit(["z"])
 
 
+def test_a_bare_string_event_is_refused_not_read_as_its_characters(chain3, p1):
+    for ask in (chain3.classes_hit, chain3.event, chain3.complement, p1.upper, p1.lower):
+        with pytest.raises(ValueError, match="^event 'ac' is a string, not a list of labels$"):
+            ask("ac")
+    # A label may be several characters long: the string is not split into unknown labels.
+    named = Chain([["ab"], ["c"]])
+    assert named.classes_hit(["ab"]) == (0,)
+    with pytest.raises(ValueError, match="^event 'ab' is a string, not a list of labels$"):
+        named.classes_hit("ab")
+    with pytest.raises(ValueError, match=r"^event 'xxxx.*\.\.\. \(502 characters\) is a string"):
+        named.event("x" * 500)
+
+
 def test_complement(chain3):
     assert chain3.complement({"b"}) == frozenset({"a", "c"})
     assert chain3.complement(frozenset()) == chain3.labels

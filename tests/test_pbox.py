@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import every_event
+from conftest import TIED_CHAINS, every_event
 
+import possbox.rationals
 from possbox import Chain, PBox
 from possbox.rationals import MAX_DIGITS, ONE, exact
+from possbox.verify import default_chain
 
 
 def test_constructor_rejects_bad_vectors(chain3):
@@ -46,6 +49,87 @@ def test_constructor_error_lines(chain3, lower, upper, message):
     with pytest.raises(ValueError) as raised:
         PBox(chain3, lower, upper)
     assert str(raised.value) == message
+
+
+#: ``(chain, lower, upper)`` written with repeats, other spellings of equal
+#: values, non-strings among strings, and strings shared by both vectors.
+MIXED_SPELLINGS = (
+    (TIED_CHAINS[0], ["1/2", "1"], ["1/2", 1]),
+    (TIED_CHAINS[1], [Fraction(1, 2), "1"], [" 1/2 ", "1"]),
+    (TIED_CHAINS[2], ["1/2", "0.5", "1"], ["2/4", "3/4", "1.0"]),
+    (default_chain(4), ["0", "0.25", "1/4", 1], ["1/2", "0.5", "2/4", "1"]),
+    (default_chain(4), ["1/4", "1/4", "1/2", "1"], ["1/2", "1/2", "1", "1"]),
+)
+
+
+@pytest.mark.parametrize("chain, lower, upper", MIXED_SPELLINGS)
+def test_a_box_reading_strings_once_equals_one_read_entry_by_entry(chain, lower, upper):
+    box = PBox(chain, lower, upper)
+    by_entry = [tuple(exact(v) for v in vec) for vec in (lower, upper)]
+    assert [box.lower_cdf, box.upper_cdf] == by_entry
+    for q in box.lower_cdf + box.upper_cdf:
+        assert type(q) is Fraction and gcd(q.numerator, q.denominator) == 1
+    reference = PBox(chain, *by_entry)
+    for event in every_event(chain.labels):
+        assert (box.upper(event), box.lower(event)) == (reference.upper(event), reference.lower(event))
+
+
+def test_a_build_reads_each_distinct_string_once_and_keeps_nothing(chain3, monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return exact(value)
+
+    monkeypatch.setattr(possbox.rationals, "exact", counted)
+    lower, upper = ["0", "0", "1"], ["1/2", "0.5", "1"]
+    for _ in range(2):
+        calls.clear()
+        PBox(chain3, lower, upper)
+        assert calls == ["0", "1", "1/2", "0.5"]
+    calls.clear()
+    PBox(chain3, [0, Fraction(0), "1"], [Fraction(1, 2), 1, "1"])
+    assert calls == [0, Fraction(0), "1", Fraction(1, 2), 1]
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        (["0", "1", "1"], ["1", "1", True]),
+        ([0, Fraction(1), 1], [Fraction(1), "1", True]),
+        (["0", "1", True], ["1", "1", "1"]),
+    ],
+)
+def test_a_boolean_is_refused_after_an_equal_value_was_read(chain3, lower, upper):
+    with pytest.raises(ValueError, match="^refusing bool True: "):
+        PBox(chain3, lower, upper)
+
+
+#: ``(lower, upper, the exact error line)``: bad strings that repeat, or sit in
+#: both vectors; the first in the caller's order, lower before upper, is named.
+REPEATED_BAD_STRINGS = (
+    (["0", "x", "x"], ["1", "1", "1"], "not an exact rational: 'x'"),
+    (["0", "1/0", "x"], ["x", "1/0", "1"], "not an exact rational: '1/0'"),
+    (["0", "0", "q"], ["p", "q", "1"], "not an exact rational: 'q'"),
+    (["0", "0", "1"], ["1e2000", "1e2000", "1"], f"refusing '1e2000': length or exponent over {MAX_DIGITS}"),
+    (["0", "3/2", "3/2"], ["3/2", "3/2", "1"], "lower[1] = 3/2 outside [0, 1]"),
+)
+
+
+@pytest.mark.parametrize("lower, upper, message", REPEATED_BAD_STRINGS)
+def test_the_first_bad_string_is_named_when_it_repeats(chain3, lower, upper, message):
+    for _ in range(2):  # nothing read in one build is kept for the next
+        with pytest.raises(ValueError) as raised:
+            PBox(chain3, lower, upper)
+        assert str(raised.value) == message
+
+
+def test_a_bare_string_vector_is_refused_not_read_as_its_digits():
+    chain = Chain([["a"], ["b"]])
+    with pytest.raises(ValueError, match="^lower is a string, not a list of values$"):
+        PBox(chain, "01", "11")
+    with pytest.raises(ValueError, match="^upper is a string, not a list of values$"):
+        PBox(chain, ["0", "1"], "11")
 
 
 def test_constructor_rejects_floats(chain3):

@@ -42,6 +42,18 @@ def test_distribution_validation():
         PossibilityDistribution({"a": "2", "b": "x"})
     with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
         PossibilityDistribution({"a": "x", "b": "2"})
+    # Each distinct string is read once, yet every label holding it is checked:
+    # a repeated bad value still names its first label in the caller's order.
+    with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
+        PossibilityDistribution({"a": "1", "b": "3/2", "c": "3/2"})
+    with pytest.raises(ValueError, match=r"^value 2 for 'c' outside \[0, 1\]$"):
+        PossibilityDistribution({"a": "1/2", "b": "1/2", "c": "2", "d": "x", "e": "2"})
+    with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
+        PossibilityDistribution({"a": "1/2", "b": "x", "c": "2", "d": "x"})
+    with pytest.raises(ValueError, match="^refusing bool True: "):
+        PossibilityDistribution({"a": "1", "b": 1, "c": True})
+    pi = PossibilityDistribution({"a": "1/2", "b": "0.5", "c": " 1/2 ", "d": "1/2", "e": 1})
+    assert [pi[x] for x in "abcde"] == [Fraction(1, 2)] * 4 + [Fraction(1)]
 
 
 def test_distribution_queries():
@@ -219,7 +231,7 @@ def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
 def test_conjunction_bounds_on_end_events_and_cut_classes():
     box = PBox(TIED_CHAINS[-1], ["1/4", "1/2", "1"], ["1/2", "3/4", "1"])
     assert conjunction_bounds(box, []) == (0, 0)
-    assert conjunction_bounds(box, "abcde") == (1, 1)
+    assert conjunction_bounds(box, set("abcde")) == (1, 1)
     # {b, c} cuts the bottom class, so its complement {a, d, e} hits both end classes.
     assert conjunction_bounds(box, {"b", "c"}) == (0, Fraction(3, 4))
     assert conjunction_bounds(box, {"a", "b", "c"}) == (Fraction(1, 2), Fraction(3, 4))
