@@ -60,9 +60,12 @@ class PBox:
         lower: Iterable[object],
         upper: Iterable[object],
     ):
+        for name, vec in (("lower", lower), ("upper", upper)):
+            if isinstance(vec, str):
+                raise ValueError(f"{name} is a string, not a list of values")
         seen: dict[str, Fraction] = {}
-        lo = tuple(_exact_each(lower, "lower", seen))
-        up = tuple(_exact_each(upper, "upper", seen))
+        lo = tuple(_exact_each(lower, seen))
+        up = tuple(_exact_each(upper, seen))
         m = chain.m
         if len(lo) != m or len(up) != m:
             raise ValueError(

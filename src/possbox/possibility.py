@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Mapping
 from possbox.chain import Chain, Label
 from possbox.maxitive import is_maxitive, zero_one_profile
 from possbox.pbox import PBox
-from possbox.rationals import ONE, ZERO, _exact_each, shown
+from possbox.rationals import ONE, ZERO, exact, shown
 
 
 def _check_values(pairs: Iterable[tuple[Fraction, Hashable]]) -> None:
@@ -62,8 +62,7 @@ class PossibilityDistribution:
         converted: dict[Hashable, Fraction] = {}
         # Each value is checked just after it is converted, so the first label
         # in the caller's order with either fault is the one named.
-        read = _exact_each(values.values(), "values", {})
-        _check_values((converted.setdefault(label, q), label) for label, q in zip(values, read))
+        _check_values((converted.setdefault(label, exact(raw)), label) for label, raw in values.items())
         self._values = converted
 
     @classmethod

@@ -16,10 +16,10 @@ whole.  No ``_`` separators, no spaces around ``/`` and no digits of other
 scripts: :class:`fractions.Fraction` reads some of these on some Python
 versions only.
 
-Building a box or a distribution sends each distinct string through
-:func:`exact` once: a box's ``2m`` values on a 1/64 grid repeat most of
-their strings.  The strings read so far live in a dict local to that one
-build; nothing is cached across calls.
+Building a box sends each distinct string through :func:`exact` once: a
+box's ``2m`` values on a 1/64 grid repeat most of their strings.  The
+strings read so far live in a dict local to that one build; nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def exact(value: object) -> Fraction:
         raise ValueError(f"not an exact rational: {shown(repr(value))}") from exc
 
 
-def _exact_each(values: Iterable[object], name: str, seen: dict[str, Fraction]) -> Iterator[Fraction]:
+def _exact_each(values: Iterable[object], seen: dict[str, Fraction]) -> Iterator[Fraction]:
     """Each of ``values`` through :func:`exact`, in order, reading each distinct string once.
 
     ``seen`` maps the strings read so far in one build to their values; a
@@ -95,8 +95,6 @@ def _exact_each(values: Iterable[object], name: str, seen: dict[str, Fraction]) 
     value-keyed dict would let a refused boolean through.  A bad entry raises
     when it is reached, so the first one in the caller's order is named.
     """
-    if isinstance(values, str):
-        raise ValueError(f"{name} is a string, not a list of values")
     for v in values:
         if type(v) is str:
             q = seen.get(v)

@@ -42,8 +42,7 @@ def test_distribution_validation():
         PossibilityDistribution({"a": "2", "b": "x"})
     with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
         PossibilityDistribution({"a": "x", "b": "2"})
-    # Each distinct string is read once, yet every label holding it is checked:
-    # a repeated bad value still names its first label in the caller's order.
+    # A repeated bad value names its first label in the caller's order.
     with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
         PossibilityDistribution({"a": "1", "b": "3/2", "c": "3/2"})
     with pytest.raises(ValueError, match=r"^value 2 for 'c' outside \[0, 1\]$"):
