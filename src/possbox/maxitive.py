@@ -115,11 +115,12 @@ def upper_01_both(box: PBox, event: Iterable[Label]) -> Fraction:
 
     The value is then itself 0-1.  Every distribution in the box puts all
     its mass in the window ``c1 .. b1`` between ``c1 =
-    first_upper_positive`` and ``b1 = first_lower_positive`` (the window
-    :func:`possbox.possibility.zero_one_possibility` reads), and any one
+    first_upper_positive`` and ``b1 = first_lower_positive``, and any one
     class of the window can take all of it.  So the value is 1 exactly when
     the event hits a class of the window.  When ``c1 == b1`` the box is a
     degenerate (precise) distribution putting all mass on that class.
+    :func:`possbox.possibility.zero_one_possibility` reads this value at
+    each label.
     """
     profile = zero_one_profile(box)
     if not (profile.lower_is_01 and profile.upper_is_01):

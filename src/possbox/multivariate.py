@@ -62,6 +62,9 @@ class MarginalFamily:
         self.marginals = tuple(marginals)
         if not self.marginals:
             raise ValueError("a marginal family needs at least one marginal")
+        for i, m in enumerate(self.marginals):
+            if not isinstance(m, PossibilityDistribution):
+                raise ValueError(f"marginal {i} is a {type(m).__name__}, not a PossibilityDistribution")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
         self._vectors = None
 

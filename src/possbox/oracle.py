@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 from possbox.chain import Label, class_subsets
 from possbox.pbox import PBox
 from possbox.possibility import PossibilityDistribution
-from possbox.rationals import ONE, ZERO, exact
+from possbox.rationals import ONE, ZERO, exact, shown
 
 Row = tuple[Sequence[Fraction], str, Fraction]
 #: An upper probability of a union of classes, given as a sorted index tuple.
@@ -294,8 +294,16 @@ def _box_region(box: PBox) -> Region:
 
 
 def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
-    """LP optimum for a union of classes given by index."""
-    hit = set(indices)
+    """LP optimum for a union of classes given by index.
+
+    Each index must be an ``int`` naming a class; a ``bool`` is refused, as
+    :func:`~possbox.rationals.exact` refuses one.
+    """
+    listed = tuple(indices)
+    for i in listed:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValueError(f"class index {shown(repr(i))} is not an int")
+    hit = set(listed)
     if not hit:
         return ZERO
     for i in sorted(hit):

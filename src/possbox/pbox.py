@@ -7,8 +7,8 @@ probabilities of the down-sets ``[bottom, x]`` and up-sets ``(y, top]``
 determines a coherent upper probability on *all* events; this module
 computes that value in closed form.  The value depends on an event only
 through the classes it hits: :meth:`PBox.upper` sums the mass forced into
-the gap before each hit class, and :meth:`PBox.lower` asks it of the
-classes the event does not contain, the classes its complement hits.
+the gap before each hit class, and :meth:`PBox.lower` is its conjugate,
+one minus the upper value of the complement.
 :meth:`PBox.upper_on_union` takes the paper's route for the same event: it
 sums the forced mass over the gaps between the runs of the event's cover
 (:meth:`~possbox.chain.Chain.minimal_cover`), and a test holds the two
@@ -178,9 +178,7 @@ class PBox:
     def lower(self, event: Iterable[Label]) -> Fraction:
         """Natural-extension lower probability, by conjugacy.
 
-        ``lower(A) = 1 - upper(complement of A)``.  The complement hits
-        exactly the classes ``A`` does not contain, so :meth:`upper` is asked
-        of one label of each such class, not of the complement's label set.
+        ``lower(A) = 1 - upper(complement of A)``, with the complement taken
+        by :meth:`~possbox.chain.Chain.complement`.
         """
-        event = self.chain.event(event)
-        return ONE - self.upper([next(iter(cls)) for cls in self.chain.classes if not cls <= event])
+        return ONE - self.upper(self.chain.complement(event))

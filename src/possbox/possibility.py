@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from possbox.chain import Chain, Label
-from possbox.maxitive import is_maxitive, zero_one_profile
+from possbox.chain import Chain, Label, _refuse_string
+from possbox.maxitive import is_maxitive, upper_01_both
 from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO, exact, shown
 
@@ -59,6 +59,8 @@ class PossibilityDistribution:
     def __init__(self, values: Mapping[Hashable, object]):
         if not values:
             raise ValueError("a possibility distribution needs a non-empty domain")
+        if not hasattr(values, "items"):
+            raise ValueError(f"a possibility distribution needs a mapping, not a {type(values).__name__}")
         converted: dict[Hashable, Fraction] = {}
         # Each value is checked just after it is converted, so the first label
         # in the caller's order with either fault is the one named.
@@ -108,8 +110,10 @@ class PossibilityDistribution:
 
         Values are compared by integer cross-multiplication (denominators
         are positive); the winning value's own :class:`Fraction` is
-        returned.
+        returned.  A bare string is refused, not read as a set of its
+        characters.
         """
+        _refuse_string(event)
         values = self._values
         best, num, den = ZERO, 0, 1
         for label in event:
@@ -182,18 +186,14 @@ def value_levels(
 def zero_one_possibility(box: PBox) -> PossibilityDistribution:
     """Possibility distribution of a box whose two vectors are both 0-1.
 
-    The distribution is the indicator of the classes from the profile's
-    ``first_upper_positive`` to its ``first_lower_positive``, both included;
-    lower never exceeds upper, so this window is never empty.
-    Agrees with :func:`pbox_to_possibility` wherever both apply.
+    Each label gets its singleton upper probability from
+    :func:`~possbox.maxitive.upper_01_both`, which refuses any other box;
+    the result is the indicator of the window of classes that function
+    reads.  Agrees with :func:`pbox_to_possibility` wherever both apply.
     """
-    profile = zero_one_profile(box)
-    if not (profile.lower_is_01 and profile.upper_is_01):
-        raise ValueError("both cumulative vectors must be 0-1-valued")
-    lo = profile.first_upper_positive
-    hi = profile.first_lower_positive
-    values = {label: ONE if lo <= i <= hi else ZERO for i, label in box.chain.labels_by_class()}
-    return PossibilityDistribution(values)
+    return PossibilityDistribution(
+        {label: upper_01_both(box, [label]) for _, label in box.chain.labels_by_class()}
+    )
 
 
 def conjunction_decompose(box: PBox) -> tuple[PossibilityDistribution, PossibilityDistribution]:

@@ -85,6 +85,19 @@ def test_family_and_rectangle_error_lines(family_2x2):
         MarginalFamily([])
     with pytest.raises(ValueError, match="^rectangle has 1 components, family has 2$"):
         combine_rectangle(family_2x2, ({"u"},), "frechet")
+    # "ab" is a label here, so reading a string as its characters would answer 1.
+    pi = PossibilityDistribution({"a": "1/2", "b": 1, "ab": "1/4"})
+    # A lone distribution iterates its labels.
+    with pytest.raises(ValueError, match="^marginal 0 is a str, not a PossibilityDistribution$"):
+        MarginalFamily(pi)
+    with pytest.raises(ValueError, match="^marginal 1 is a dict, not a PossibilityDistribution$"):
+        MarginalFamily([pi, {"a": 1}])
+    with pytest.raises(ValueError, match="^event 'ab' is a string, not a list of labels$"):
+        combine_rectangle(MarginalFamily([pi]), ["ab"], "frechet")
+    # A bare-string rectangle reads as one string per component.
+    with pytest.raises(ValueError, match="^event 'a' is a string, not a list of labels$"):
+        combine_rectangle(MarginalFamily([pi, pi]), "ab", "frechet")
+    assert combine_rectangle(MarginalFamily([pi]), [["ab"]], "frechet") == Fraction(1, 4)
 
 
 def test_least_conservative_check_rejects_unknown_rule(family_2x2):

@@ -487,6 +487,10 @@ def test_intersection_fails_with_vacuous_component(p1):
 def test_credal_upper_classes_refuses_an_index_out_of_range(p1, no_lp):
     with pytest.raises(ValueError, match=f"^class index {p1.chain.m} out of range$"):
         oracle.credal_upper_classes(p1, (p1.chain.m,))
+    # True and 1.0 would read as class 1, and "01" would fail in sorting.
+    for bad, shown in (([True], "True"), ([1.0], "1.0"), ("01", "'0'"), ([0, None], "None")):
+        with pytest.raises(ValueError, match=f"^class index {shown} is not an int$"):
+            oracle.credal_upper_classes(p1, bad)
 
 
 def test_intersection_guards(p1, no_lp):

@@ -6,7 +6,7 @@ from conftest import TIED_CHAINS, every_event
 
 import possbox.rationals
 from possbox import Chain, PBox
-from possbox.rationals import MAX_DIGITS, ONE, exact
+from possbox.rationals import MAX_DIGITS, exact
 from possbox.verify import default_chain
 
 
@@ -223,12 +223,6 @@ def test_upper_is_monotone_and_subadditive(p2):
             assert p2.upper(union) <= p2.upper(small) + p2.upper(large)
 
 
-def test_lower_is_conjugate_of_upper(p2):
-    for event in (frozenset(), {"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}):
-        complement = p2.chain.complement(event)
-        assert p2.lower(event) == 1 - p2.upper(complement)
-
-
 def test_multi_element_class_shares_class_value():
     chain = Chain([["a", "b"], ["c"]])
     box = PBox(chain, ["1/4", "1"], ["3/4", "1"])
@@ -258,16 +252,13 @@ def test_box_equality_hash_and_repr():
     assert repr(half) == "PBox(Chain({a, b}, {c}), lower=(1/2, 1), upper=(1, 1))"
 
 
-def test_hit_class_sum_and_missed_class_complement_equal_the_label_set_routes(grid4_boxes):
+def test_hit_class_sum_equals_the_cover_by_runs(grid4_boxes):
     # Every event of every grid-4 box with m <= 4, and of the tied chains whose
-    # events cut their tied classes: upper against the cover by runs, lower
-    # against the upper value of the complement's label set.
+    # events cut their tied classes: upper against the cover by runs.
     wrong = []
     for box in grid4_boxes:
-        chain = box.chain
-        for event in every_event(chain.labels):
-            by_labels = ONE - box.upper(chain.complement(event))
-            if box.upper(event) != box.upper_on_union(event) or box.lower(event) != by_labels:
+        for event in every_event(box.chain.labels):
+            if box.upper(event) != box.upper_on_union(event):
                 wrong.append((box, event))
     assert (len(grid4_boxes), wrong) == (611 + 15 + 15 + 105, [])
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from conftest import TIED_CHAINS, every_event
@@ -51,6 +52,9 @@ def test_distribution_validation():
         PossibilityDistribution({"a": "1/2", "b": "x", "c": "2", "d": "x"})
     with pytest.raises(ValueError, match="^refusing bool True: "):
         PossibilityDistribution({"a": "1", "b": 1, "c": True})
+    for values, kind in (("ab", "str"), ([("a", 1)], "list"), (5, "int")):
+        with pytest.raises(ValueError, match=f"^a possibility distribution needs a mapping, not a {kind}$"):
+            PossibilityDistribution(values)
     pi = PossibilityDistribution({"a": "1/2", "b": "0.5", "c": " 1/2 ", "d": "1/2", "e": 1})
     assert [pi[x] for x in "abcde"] == [Fraction(1, 2)] * 4 + [Fraction(1)]
 
@@ -67,6 +71,15 @@ def test_distribution_queries():
         pi["z"]
     with pytest.raises(ValueError):
         pi.measure({"z"})
+    assert repr(pi) == "PossibilityDistribution({'a': 1/2, 'b': 1})"
+    # Any mapping is read, a distribution included.
+    assert PossibilityDistribution(pi) == pi
+    assert PossibilityDistribution(MappingProxyType({"a": "1/2", "b": 1})) == pi
+    # "ab" is a label here, so reading the string as its characters would answer 1.
+    tricky = PossibilityDistribution({"a": "1/2", "b": 1, "ab": "1/4"})
+    with pytest.raises(ValueError, match="^event 'ab' is a string, not a list of labels$"):
+        tricky.measure("ab")
+    assert tricky.measure(["ab"]) == Fraction(1, 4)
 
 
 def test_measure_is_the_first_largest_value_on_large_prime_denominators():

@@ -542,8 +542,8 @@ NOT_ANSWERS = {
     "Chain.m": "model data",
     "Chain.labels": "model data",
     "Chain.labels_by_class": "the one within-class order of labels",
-    "Chain.event": "event validation, read by PBox.lower, conjunction_bounds and the oracle",
-    "Chain.complement": "the command line's --complement, and credal_lower",
+    "Chain.event": "event validation, read by Chain.complement, conjunction_bounds and the oracle",
+    "Chain.complement": "the conjugate of PBox.lower and credal_lower, and the command line's --complement",
     "Chain.classes_hit": "the hit classes PBox.upper and the 0-1 forms read",
     "Chain.class_range_labels": "the paper's order interval, used by the README quick start (tests/test_readme.py)",
     "PBox.chain": "model data",
