@@ -8,7 +8,7 @@ into joints, and cross-checks every closed form against exact credal-set
 optimization.  All arithmetic is rational and exact.
 """
 
-from possbox.chain import SENTINEL, Chain
+from possbox.chain import Chain
 from possbox.maxitive import (
     ZeroOneProfile,
     is_maxitive,
@@ -46,7 +46,6 @@ from possbox.possibility import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SENTINEL",
     "Chain",
     "MarginalFamily",
     "PBox",

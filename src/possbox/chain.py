@@ -27,7 +27,8 @@ class Chain:
     """Ordered quotient of a finite totally preordered space.
 
     ``classes[0]`` holds the smallest elements, ``classes[m - 1]`` the
-    largest.  Elements sharing a class are order-equivalent.
+    largest.  Elements sharing a class are order-equivalent.  Every label
+    is a ``str``.
 
     >>> chain = Chain([["a"], ["b"], ["c"]])
     >>> chain.m
@@ -50,8 +51,10 @@ class Chain:
             if not cls:
                 raise ValueError(f"class {i} is empty")
             for label in cls:
+                if not isinstance(label, str):
+                    raise ValueError(f"class {i} holds a label of type {type(label).__name__}, not str")
                 if index.setdefault(label, i) != i:
-                    raise ValueError(f"label {shown(repr(label))} appears in more than one class")
+                    raise ValueError(f"label {shown(label, repr)} appears in more than one class")
         self.classes = tuple(frozenset(cls) for cls in listed)
         self._index = index
 
@@ -90,7 +93,7 @@ class Chain:
         listed = list(labels)
         for label in listed:
             if label not in self._index:
-                raise ValueError(f"unknown label {shown(repr(label))}")
+                raise ValueError(f"unknown label {shown(label, repr)}")
         return frozenset(listed)
 
     def complement(self, labels: Iterable[Label]) -> frozenset[Label]:
@@ -106,14 +109,17 @@ class Chain:
         try:
             return tuple(sorted(set(map(self._index.__getitem__, labels))))
         except KeyError as exc:
-            raise ValueError(f"unknown label {shown(repr(exc.args[0]))}") from None
+            raise ValueError(f"unknown label {shown(exc.args[0], repr)}") from None
 
     def class_range_labels(self, lo: int, hi: int) -> frozenset[Label]:
-        """Union of the classes with index in ``lo..hi`` (empty if lo > hi)."""
-        out: set[Label] = set()
-        for i in range(max(lo, 0), min(hi, self.m - 1) + 1):
-            out |= self.classes[i]
-        return frozenset(out)
+        """Union of the classes with index in ``lo..hi``, empty when ``lo > hi``.
+
+        ``lo = m`` or ``hi = -1`` closes an empty interval at an end of the
+        chain; any other index off the chain, and a ``bool``, is refused.
+        """
+        if isinstance(lo, bool) or isinstance(hi, bool) or not (0 <= lo <= self.m and -1 <= hi < self.m):
+            raise ValueError(f"class range {shown(lo)}..{shown(hi)} does not index a chain of {self.m} classes")
+        return frozenset().union(*self.classes[lo : hi + 1])
 
     def minimal_cover(self, labels: Iterable[Label]) -> tuple[tuple[int, int], ...]:
         """Smallest union of class runs containing an event, as half-open runs.
@@ -159,7 +165,7 @@ class Chain:
 
 def _refuse_string(labels: Iterable[Label]) -> None:
     if isinstance(labels, str):
-        raise ValueError(f"event {shown(repr(labels))} is a string, not a list of labels")
+        raise ValueError(f"event {shown(labels, repr)} is a string, not a list of labels")
 
 
 def class_subsets(m: int) -> list[tuple[int, ...]]:

@@ -236,7 +236,7 @@ def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]
         for label in domain:
             if "|" in label:
                 raise CliError(
-                    f"marginal {k} label {shown(repr(label))} contains '|', the separator of point keys"
+                    f"marginal {k} label {shown(label, repr)} contains '|', the separator of point keys"
                 )
     try:
         joint = JOINTS[args.rule](family)

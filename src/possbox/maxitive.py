@@ -90,7 +90,7 @@ def upper_01_lower(box: PBox, event: Iterable[Label]) -> Fraction:
         raise ValueError("lower cumulative vector is not 0-1-valued")
     hit = box.chain.classes_hit(event)
     k = bisect_right(hit, profile.first_lower_positive)
-    return box.upper_at(hit[k - 1] if k else SENTINEL)
+    return box._upper_at(hit[k - 1] if k else SENTINEL)
 
 
 def upper_01_upper(box: PBox, event: Iterable[Label]) -> Fraction:
@@ -107,7 +107,7 @@ def upper_01_upper(box: PBox, event: Iterable[Label]) -> Fraction:
         raise ValueError("upper cumulative vector is not 0-1-valued")
     hit = box.chain.classes_hit(event)
     k = bisect_left(hit, profile.first_upper_positive)
-    return ONE - box.lower_at(hit[k] - 1) if k < len(hit) else ZERO
+    return ONE - box._lower_at(hit[k] - 1) if k < len(hit) else ZERO
 
 
 def upper_01_both(box: PBox, event: Iterable[Label]) -> Fraction:

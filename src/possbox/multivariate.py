@@ -28,7 +28,7 @@ from math import prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from possbox.possibility import PossibilityDistribution, value_levels
-from possbox.rationals import ONE
+from possbox.rationals import ONE, shown
 
 #: Most product points a family's :meth:`~MarginalFamily.vectors` table may
 #: cover: the product of the domain sizes.  A joint holds a value per point,
@@ -44,7 +44,7 @@ RULES = {"frechet": (min, lambda z, n: z), "independent": (prod, lambda z, n: z*
 
 def _rule(rule: str):
     if rule not in RULES:
-        raise ValueError(f"unknown combination rule {rule!r} (expected one of {tuple(RULES)})")
+        raise ValueError(f"unknown combination rule {shown(rule, repr)} (expected one of {tuple(RULES)})")
     return RULES[rule]
 
 
@@ -67,10 +67,6 @@ class MarginalFamily:
                 raise ValueError(f"marginal {i} is a {type(m).__name__}, not a PossibilityDistribution")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
         self._vectors = None
-
-    @property
-    def n(self) -> int:
-        return len(self.marginals)
 
     def points(self) -> Iterator[tuple]:
         """All product points, in deterministic order."""
@@ -149,7 +145,7 @@ def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
     >>> joint_independent(MarginalFamily([pi1, pi2]))[("u", "s")]
     Fraction(1, 4)
     """
-    n = family.n
+    n = len(family.marginals)
     return _build_joint(family, lambda z, w: z**n)
 
 
@@ -161,7 +157,7 @@ def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
     >>> joint_rsi_outer(MarginalFamily([pi1, pi2]))[("u", "s")]
     Fraction(51, 100)
     """
-    n = family.n
+    n = len(family.marginals)
     return _build_joint(family, lambda z, w: ONE - (ONE - w) ** n)
 
 
@@ -190,9 +186,11 @@ def combine_rectangle(
     >>> combine_rectangle(family, [{"u"}, {"s"}], "independent")
     Fraction(3, 20)
     """
+    if isinstance(rectangle, str):
+        raise ValueError(f"rectangle {shown(rectangle, repr)} is a string, not a list of events")
     rect = list(rectangle)
-    if len(rect) != family.n:
-        raise ValueError(f"rectangle has {len(rect)} components, family has {family.n}")
+    if len(rect) != len(family.marginals):
+        raise ValueError(f"rectangle has {len(rect)} components, family has {len(family.marginals)}")
     return _rule(rule)[0](m.measure(component) for m, component in zip(family.marginals, rect))
 
 
@@ -225,7 +223,7 @@ def least_conservative_check(
     joint living on a different product space.
     """
     least = _rule(rule)[1]
-    n = family.n
+    n = len(family.marginals)
     table = family.vectors()
     if sum(len(row[3]) for row in table) != len(joint) or not all(map(joint.__contains__, family.points())):
         raise ValueError("joint does not live on this family's product space")

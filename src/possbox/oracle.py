@@ -302,13 +302,13 @@ def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
     listed = tuple(indices)
     for i in listed:
         if isinstance(i, bool) or not isinstance(i, int):
-            raise ValueError(f"class index {shown(repr(i))} is not an int")
+            raise ValueError(f"class index {shown(i, repr)} is not an int")
     hit = set(listed)
     if not hit:
         return ZERO
     for i in sorted(hit):
         if not 0 <= i < box.chain.m:
-            raise ValueError(f"class index {i} out of range")
+            raise ValueError(f"class index {shown(i)} out of range")
     objective = [ONE if i in hit else ZERO for i, cls in enumerate(box.chain.classes) for _ in cls]
     region = _box_region(box)
     return simplex_max(region.num_vars, region.constraints, objective, region=region)

@@ -98,11 +98,11 @@ class PBox:
 
     # ------------------------------------------------------------ basics
 
-    def lower_at(self, i: int) -> Fraction:
+    def _lower_at(self, i: int) -> Fraction:
         """Lower cumulative value at class ``i``; the sentinel ``-1`` gives 0."""
         return ZERO if i == SENTINEL else self.lower_cdf[i]
 
-    def upper_at(self, i: int) -> Fraction:
+    def _upper_at(self, i: int) -> Fraction:
         """Upper cumulative value at class ``i``; the sentinel ``-1`` gives 0."""
         return ZERO if i == SENTINEL else self.upper_cdf[i]
 

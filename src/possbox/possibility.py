@@ -33,16 +33,24 @@ def _check_values(pairs: Iterable[tuple[Fraction, Hashable]]) -> None:
         # Integer comparisons: a Fraction's denominator is positive, and its
         # value is 1 exactly when numerator and denominator agree.
         if not 0 <= q.numerator <= q.denominator:
-            raise ValueError(f"value {shown(q)} for {shown(repr(label))} outside [0, 1]")
+            raise ValueError(f"value {shown(q)} for {shown(label, repr)} outside [0, 1]")
         if q.numerator == q.denominator:
             attained = True
     if not attained:
         raise ValueError("a possibility distribution must attain the value 1")
 
 
+def _label(label: Hashable) -> Hashable:
+    """``label`` itself if it is a ``str`` or a tuple of them (a joint's point key)."""
+    if isinstance(label, str) or isinstance(label, tuple) and all(isinstance(x, str) for x in label):
+        return label
+    raise ValueError(f"label of type {type(label).__name__} is neither a string nor a tuple of strings")
+
+
 class PossibilityDistribution:
     """Exact possibility distribution over a finite set of labels.
 
+    Labels are strings, or tuples of strings as in a joint's product points.
     Values may be given as ints, fractions, or exact strings.  The maximum
     must be 1 (normalization); the induced measure of an event is the
     maximum value over the event, with the empty event measuring 0.
@@ -62,9 +70,9 @@ class PossibilityDistribution:
         if not hasattr(values, "items"):
             raise ValueError(f"a possibility distribution needs a mapping, not a {type(values).__name__}")
         converted: dict[Hashable, Fraction] = {}
-        # Each value is checked just after it is converted, so the first label
-        # in the caller's order with either fault is the one named.
-        _check_values((converted.setdefault(label, exact(raw)), label) for label, raw in values.items())
+        # Each entry is checked just as it is read, so the first label in the
+        # caller's order with any fault is the one named.
+        _check_values((converted.setdefault(_label(label), exact(raw)), label) for label, raw in values.items())
         self._values = converted
 
     @classmethod
@@ -87,7 +95,7 @@ class PossibilityDistribution:
         try:
             return self._values[label]
         except KeyError:
-            raise ValueError(f"unknown label {shown(repr(label))}") from None
+            raise ValueError(f"unknown label {shown(label, repr)}") from None
 
     def __iter__(self):
         return iter(self._values)
@@ -150,7 +158,7 @@ def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:
     if not is_maxitive(box):
         return None
     return PossibilityDistribution(
-        {label: box.upper_at(i) - box.lower_at(i - 1) for i, label in box.chain.labels_by_class()}
+        {label: box._upper_at(i) - box._lower_at(i - 1) for i, label in box.chain.labels_by_class()}
     )
 
 
@@ -168,6 +176,8 @@ def possibility_to_pbox(pi: PossibilityDistribution) -> PBox:
     >>> box.upper_cdf
     (Fraction(1, 2), Fraction(1, 1))
     """
+    if not isinstance(pi, PossibilityDistribution):
+        raise ValueError(f"pi is a {type(pi).__name__}, not a PossibilityDistribution")
     grouped = value_levels(pi, pi)
     lower = [ZERO] * (len(grouped) - 1) + [ONE]
     return PBox(Chain(labels for _, labels in grouped), lower, (v for v, _ in grouped))
@@ -214,8 +224,8 @@ def conjunction_decompose(box: PBox) -> tuple[PossibilityDistribution, Possibili
     ['1/2', '4/5', '1']
     """
     labels = box.chain.labels_by_class()
-    from_lower = {label: ONE - box.lower_at(i - 1) for i, label in labels}
-    from_upper = {label: box.upper_at(i) for i, label in labels}
+    from_lower = {label: ONE - box._lower_at(i - 1) for i, label in labels}
+    from_upper = {label: box._upper_at(i) for i, label in labels}
     return PossibilityDistribution(from_lower), PossibilityDistribution(from_upper)
 
 
@@ -246,6 +256,6 @@ def conjunction_bounds(box: PBox, event: Iterable[Label]) -> tuple[Fraction, Fra
     classes = box.chain.classes
     hit = [i for i, cls in enumerate(classes) if not cls.isdisjoint(event)]
     missed = [i for i, cls in enumerate(classes) if not cls <= event]
-    approx_upper = min(ONE - box.lower_at(hit[0] - 1), box.upper_at(hit[-1])) if hit else ZERO
-    approx_lower = max(box.lower_at(missed[0] - 1), ONE - box.upper_at(missed[-1])) if missed else ONE
+    approx_upper = min(ONE - box._lower_at(hit[0] - 1), box._upper_at(hit[-1])) if hit else ZERO
+    approx_lower = max(box._lower_at(missed[0] - 1), ONE - box._upper_at(missed[-1])) if missed else ONE
     return approx_lower, approx_upper

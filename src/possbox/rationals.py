@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,9 +45,12 @@ _NUMBER = re.compile(
 )
 
 
-def shown(value: object) -> str:
-    """``str(value)`` for an error line, cut to 40 characters."""
-    text = str(value)
+def shown(value: object, form: Callable[[object], str] = str) -> str:
+    """``form(value)`` for an error line, cut to 40 characters; an int too long for ``str`` by its type."""
+    try:
+        text = form(value)
+    except ValueError:
+        text = f"<{type(value).__name__} too long to show>"
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
@@ -70,20 +73,20 @@ def exact(value: object) -> Fraction:
         too_long = len(value) > MAX_DIGITS
         number = None if too_long else _NUMBER.fullmatch(value)
         if number is None and not too_long:
-            raise ValueError(f"not an exact rational: {shown(repr(value))}")
+            raise ValueError(f"not an exact rational: {shown(value, repr)}")
         if too_long or int(number["exponent"] or 0) > MAX_DIGITS:
-            raise ValueError(f"refusing {shown(repr(value))}: length or exponent over {MAX_DIGITS}")
+            raise ValueError(f"refusing {shown(value, repr)}: length or exponent over {MAX_DIGITS}")
         if number["denominator"] is not None:
             denominator = int(number["denominator"])
             if not denominator:
-                raise ValueError(f"not an exact rational: {shown(repr(value))}")
+                raise ValueError(f"not an exact rational: {shown(value, repr)}")
             return Fraction(int(number["numerator"]), denominator)
     elif not isinstance(value, Rational):
-        raise ValueError(f"not an exact rational: {shown(repr(value))}")
+        raise ValueError(f"not an exact rational: {shown(value, repr)}")
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {shown(repr(value))}") from exc
+        raise ValueError(f"not an exact rational: {shown(value, repr)}") from exc
 
 
 def _exact_each(values: Iterable[object], seen: dict[str, Fraction]) -> Iterator[Fraction]:

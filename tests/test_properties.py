@@ -136,13 +136,13 @@ def test_interval_forms_match_general_route(box):
     # upper(hi) - lower(lo - 1), and an interval spanning no class has 0.
     chain = box.chain
     for i, cls in enumerate(chain.classes):
-        assert box.upper({sorted(cls)[0]}) == box.upper(cls) == box.upper_at(i) - box.lower_at(i - 1)
+        assert box.upper({sorted(cls)[0]}) == box.upper(cls) == box._upper_at(i) - box._lower_at(i - 1)
         for j in range(i + 1, chain.m):
             # (x, y], [x, y], (x, y) and [x, y) for x in class i and y in class j.
             for lo in (i + 1, i):
                 for hi in (j, j - 1):
                     value = box.upper(chain.class_range_labels(lo, hi))
                     if lo <= hi:
-                        assert value == box.upper_at(hi) - box.lower_at(lo - 1)
+                        assert value == box._upper_at(hi) - box._lower_at(lo - 1)
                     else:
                         assert value == 0

@@ -3,9 +3,9 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from conftest import public_names
 
-import possbox
-from possbox import Chain, MarginalFamily, PBox, PossibilityDistribution, maxitive, verify
+from possbox import PBox, PossibilityDistribution, maxitive, verify
 from possbox.cli import main
 from possbox.maxitive import upper_01_both, upper_01_upper, zero_one_profile
 from possbox.multivariate import joint_frechet, joint_independent
@@ -531,7 +531,6 @@ NOT_ANSWERS = {
     "least_conservative_check": "route: the multivariate suite's check of the canonical joints",
     "Chain.minimal_cover": "the paper's cover by runs; perfbench/tracing.py rebinds it (ROADMAP item 1)",
     "PBox.upper_on_union": "the paper's cover by runs; perfbench/tracing.py rebinds it (ROADMAP item 1)",
-    "SENTINEL": "the index below the bottom class, where both vectors read 0",
     "__version__": "the package version",
     "Chain": "model: a finite totally preordered space",
     "PBox": "model: a probability box",
@@ -549,27 +548,16 @@ NOT_ANSWERS = {
     "PBox.chain": "model data",
     "PBox.lower_cdf": "model data",
     "PBox.upper_cdf": "model data",
-    "PBox.lower_at": "a lower cumulative value with the sentinel read as 0",
-    "PBox.upper_at": "an upper cumulative value with the sentinel read as 0",
     "PossibilityDistribution.labels": "model data",
     "PossibilityDistribution.items": "the label order documents are written in",
     "MarginalFamily.marginals": "model data",
     "MarginalFamily.domains": "model data",
-    "MarginalFamily.n": "model data",
     "MarginalFamily.points": "the product points a joint is keyed on",
     "MarginalFamily.vectors": "the one table the joints and the multivariate suite read",
 }
 
 #: Answers no suite checks yet, with where that work is planned.
 UNCHECKED = {"combine_rectangle": "ROADMAP item 4: the rectangle rules have no suite"}
-
-
-def public_names():
-    """``possbox.__all__`` and the public attributes of the model classes, as ``Class.name``."""
-    names = set(possbox.__all__)
-    for cls in (Chain, PBox, PossibilityDistribution, MarginalFamily):
-        names.update(f"{cls.__name__}.{name}" for name in dir(cls) if not name.startswith("_"))
-    return names
 
 
 def test_every_public_name_has_one_reason_to_exist():
