@@ -6,6 +6,10 @@ preordered space, decides when those bounds act as a possibility measure,
 converts in both directions, combines marginal possibility distributions
 into joints, and cross-checks every closed form against exact credal-set
 optimization.  All arithmetic is rational and exact.
+
+``import possbox`` loads the models and their closed forms; the names of
+``oracle`` and ``multivariate`` load their module on first use, so a
+one-shot query never pays for the LP oracle or the joints.
 """
 
 from possbox.chain import Chain
@@ -16,22 +20,6 @@ from possbox.maxitive import (
     upper_01_lower,
     upper_01_upper,
     zero_one_profile,
-)
-from possbox.multivariate import (
-    MarginalFamily,
-    combine_rectangle,
-    joint_frechet,
-    joint_independent,
-    joint_rsi_outer,
-    least_conservative_check,
-)
-from possbox.oracle import (
-    check_coherence,
-    credal_intersection_equal,
-    credal_lower,
-    credal_upper,
-    credal_upper_classes,
-    exhaustive_max_preserving,
 )
 from possbox.pbox import PBox
 from possbox.possibility import (
@@ -44,6 +32,14 @@ from possbox.possibility import (
 )
 
 __version__ = "0.1.0"
+
+#: The names of the oracle and the joints, each loaded with its module on first use (PEP 562).
+_LAZY = {
+    **dict.fromkeys(["MarginalFamily", "combine_rectangle", "least_conservative_check"], "multivariate"),
+    **dict.fromkeys(["joint_frechet", "joint_independent", "joint_rsi_outer"], "multivariate"),
+    **dict.fromkeys(["check_coherence", "credal_intersection_equal", "credal_lower"], "oracle"),
+    **dict.fromkeys(["credal_upper", "credal_upper_classes", "exhaustive_max_preserving"], "oracle"),
+}
 
 __all__ = [
     "Chain",
@@ -74,3 +70,13 @@ __all__ = [
     "zero_one_profile",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -13,11 +13,12 @@ open left endpoint of runs anchored at the bottom.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from possbox.rationals import shown
 
-Label = str
+#: A ``str``, or a tuple of ``str`` (a joint's product point).
+Label = Hashable
 
 #: Index of the virtual position below the bottom class.
 SENTINEL = -1
@@ -28,7 +29,8 @@ class Chain:
 
     ``classes[0]`` holds the smallest elements, ``classes[m - 1]`` the
     largest.  Elements sharing a class are order-equivalent.  Every label
-    is a ``str``.
+    is a ``str`` or a tuple of ``str`` (:func:`_label`), so a joint's
+    distribution converts to a box like any other.
 
     >>> chain = Chain([["a"], ["b"], ["c"]])
     >>> chain.m
@@ -51,8 +53,8 @@ class Chain:
             if not cls:
                 raise ValueError(f"class {i} is empty")
             for label in cls:
-                if not isinstance(label, str):
-                    raise ValueError(f"class {i} holds a label of type {type(label).__name__}, not str")
+                if type(label) is not str:
+                    _label(label, f"class {i}: ")
                 if index.setdefault(label, i) != i:
                     raise ValueError(f"label {shown(label, repr)} appears in more than one class")
         self.classes = tuple(frozenset(cls) for cls in listed)
@@ -74,12 +76,13 @@ class Chain:
 
         This is the one within-class order of the package: distributions built
         from a box and the oracle's mass variables list labels in it, so it
-        does not depend on string hashing.
+        does not depend on string hashing.  Strings come first, in their own
+        order, then tuples in theirs.
 
         >>> Chain([["c", "a"], ["b"]]).labels_by_class()
         ((0, 'a'), (0, 'c'), (1, 'b'))
         """
-        return tuple((i, label) for i, cls in enumerate(self.classes) for label in sorted(cls))
+        return tuple((i, label) for i, cls in enumerate(self.classes) for label in sorted(cls, key=_order))
 
     # ------------------------------------------------------------- events
 
@@ -159,8 +162,25 @@ class Chain:
         return hash(self.classes)
 
     def __repr__(self) -> str:
-        body = ", ".join("{" + ", ".join(sorted(cls)) + "}" for cls in self.classes)
+        body = ", ".join("{" + ", ".join(map(_written, sorted(cls, key=_order))) + "}" for cls in self.classes)
         return f"Chain({body})"
+
+
+def _label(label: object, place: str = "") -> Label:
+    """``label`` itself if it is a ``str`` or a tuple of them, else a ``ValueError`` led by ``place``."""
+    if isinstance(label, str) or isinstance(label, tuple) and all(isinstance(x, str) for x in label):
+        return label
+    raise ValueError(f"{place}label of type {type(label).__name__} is neither a string nor a tuple of strings")
+
+
+def _order(label: Label) -> tuple[bool, Label]:
+    """Sort key of :meth:`Chain.labels_by_class`: strings by their own order, then tuples."""
+    return isinstance(label, tuple), label
+
+
+def _written(label: Label) -> str:
+    """A label as :class:`Chain`'s ``repr`` writes it: a string bare, a tuple ``(a, b)``."""
+    return label if isinstance(label, str) else "(" + ", ".join(label) + ")"
 
 
 def _refuse_string(labels: Iterable[Label]) -> None:

@@ -24,22 +24,23 @@ import argparse
 import json
 import re
 import sys
-from typing import NoReturn, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from possbox.chain import Chain
 from possbox.maxitive import is_maxitive
-from possbox.multivariate import JOINTS, MAX_POINTS, MarginalFamily
-from possbox.oracle import MAX_CLASSES, MAX_ELEMENTS
-from possbox.pbox import PBox
+from possbox.pbox import PBox, pbox_document
 from possbox.possibility import (
     PossibilityDistribution,
     conjunction_bounds,
     conjunction_decompose,
     pbox_to_possibility,
+    pi_document,
     possibility_to_pbox,
 )
 from possbox.rationals import shown
-from possbox.verify import SUITES, pbox_document, pi_document, run_suite
+
+if TYPE_CHECKING:
+    from possbox.multivariate import MarginalFamily
 
 
 class CliError(Exception):
@@ -52,8 +53,19 @@ class _Parser(argparse.ArgumentParser):
     Like values in input errors, each whitespace-free run of more than 40
     characters in the line is cut by :func:`~possbox.rationals.shown`.
 
-    ``add_subparsers`` builds the command parsers with this class too.
+    ``add_subparsers`` builds the command parsers with this class too.  A
+    command parser's ``arguments``, if set, adds the rest of its arguments
+    when it first parses, so only ``joint`` and ``verify`` load the modules
+    that hold their choices and ceilings.
     """
+
+    arguments = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.arguments is not None:
+            self.arguments, add = None, self.arguments
+            add(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
         line = re.sub(r"\S{41,}", lambda run: shown(run.group()), " ".join(message.splitlines()))
@@ -117,6 +129,8 @@ def _document_pi(doc: dict) -> PossibilityDistribution:
 
 
 def _document_marginals(doc: dict) -> MarginalFamily:
+    from possbox.multivariate import MarginalFamily
+
     marginals = doc.get("marginals")
     if not isinstance(marginals, list) or not marginals:
         raise CliError('document field "marginals" must be a non-empty list of objects')
@@ -232,6 +246,8 @@ def _bounds(box: PBox, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]:
+    from possbox.multivariate import JOINTS
+
     for k, domain in enumerate(family.domains):
         for label in domain:
             if "|" in label:
@@ -247,6 +263,8 @@ def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]
 
 
 def _verify(_: None, args: argparse.Namespace) -> tuple[dict, str]:
+    from possbox.verify import run_suite
+
     try:
         report = run_suite(args.suite, args.max_classes, args.grid)
     except ValueError as exc:  # a size below 1, or past the ceiling of the suite's oracle
@@ -285,7 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("from-possibility", _document_pi, _from_possibility, "probability box encoding a distribution")
     add("decompose", _document_pbox, _decompose, "split a box into two possibility distributions")
     add("bounds", _document_pbox, _bounds, "exact and conjunction-approximate bounds", event=True)
-    joint = add("joint", _document_marginals, _joint, "joint distribution from marginals")
+    add("joint", _document_marginals, _joint, "joint distribution from marginals").arguments = _joint_arguments
+    add("verify", None, _verify, "run a verification suite").arguments = _verify_arguments
+    return parser
+
+
+def _joint_arguments(joint: argparse.ArgumentParser) -> None:
+    from possbox.multivariate import JOINTS, MAX_POINTS
+
     joint.add_argument(
         "--rule",
         required=True,
@@ -293,7 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"joint construction; a family of more than {MAX_POINTS} product points"
         " (the product of the domain sizes) is refused",
     )
-    verify = add("verify", None, _verify, "run a verification suite")
+
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
+    from possbox.oracle import MAX_CLASSES, MAX_ELEMENTS
+    from possbox.verify import SUITES
+
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify.add_argument(
         "--max-classes",
@@ -312,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="denominator of the value grid (default: the suite's own); no ceiling,"
         " and the grid boxes of each chain size grow with the grid",
     )
-
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:

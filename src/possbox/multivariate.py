@@ -52,8 +52,9 @@ class MarginalFamily:
     """An ordered family of marginal possibility distributions.
 
     Domains are kept in a deterministic (sorted) order so that product
-    points enumerate identically across runs.  Building a family visits no
-    product point; :meth:`vectors` does, once.
+    points enumerate identically across runs.  A joint, keyed on tuples, is
+    refused as a marginal.  Building a family visits no product point;
+    :meth:`vectors` does, once.
     """
 
     __slots__ = ("marginals", "domains", "_vectors")
@@ -65,6 +66,9 @@ class MarginalFamily:
         for i, m in enumerate(self.marginals):
             if not isinstance(m, PossibilityDistribution):
                 raise ValueError(f"marginal {i} is a {type(m).__name__}, not a PossibilityDistribution")
+            joint_key = next((label for label in m if isinstance(label, tuple)), None)
+            if joint_key is not None:
+                raise ValueError(f"marginal {i} has the point key {shown(joint_key, repr)}: a joint is not a marginal")
         self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
         self._vectors = None
 

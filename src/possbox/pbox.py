@@ -182,3 +182,12 @@ class PBox:
         by :meth:`~possbox.chain.Chain.complement`.
         """
         return ONE - self.upper(self.chain.complement(event))
+
+
+def pbox_document(box: PBox) -> dict:
+    """Replayable JSON form of a probability box."""
+    return {
+        "classes": [sorted(cls) for cls in box.chain.classes],
+        "lower": [str(v) for v in box.lower_cdf],
+        "upper": [str(v) for v in box.upper_cdf],
+    }

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from possbox.chain import Chain, Label, _refuse_string
+from possbox.chain import Chain, Label, _label, _refuse_string
 from possbox.maxitive import is_maxitive, upper_01_both
 from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO, exact, shown
@@ -38,13 +38,6 @@ def _check_values(pairs: Iterable[tuple[Fraction, Hashable]]) -> None:
             attained = True
     if not attained:
         raise ValueError("a possibility distribution must attain the value 1")
-
-
-def _label(label: Hashable) -> Hashable:
-    """``label`` itself if it is a ``str`` or a tuple of them (a joint's point key)."""
-    if isinstance(label, str) or isinstance(label, tuple) and all(isinstance(x, str) for x in label):
-        return label
-    raise ValueError(f"label of type {type(label).__name__} is neither a string nor a tuple of strings")
 
 
 class PossibilityDistribution:
@@ -140,6 +133,11 @@ class PossibilityDistribution:
     def __repr__(self) -> str:
         body = ", ".join(f"{label!r}: {v}" for label, v in self._values.items())
         return f"PossibilityDistribution({{{body}}})"
+
+
+def pi_document(pi: PossibilityDistribution) -> dict[str, str]:
+    """Replayable JSON form of a possibility distribution, in its own label order."""
+    return {label: str(value) for label, value in pi.items()}
 
 
 def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:

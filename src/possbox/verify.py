@@ -37,12 +37,13 @@ from possbox.oracle import (
     credal_upper_classes,
     exhaustive_max_preserving,
 )
-from possbox.pbox import PBox
+from possbox.pbox import PBox, pbox_document
 from possbox.possibility import (
     PossibilityDistribution,
     conjunction_bounds,
     conjunction_decompose,
     pbox_to_possibility,
+    pi_document,
     possibility_to_pbox,
     zero_one_possibility,
 )
@@ -111,20 +112,6 @@ def iter_chain_pboxes(chain: Chain, grid_den: int) -> Iterator[PBox]:
         for lower in vectors:
             if all(lo <= up for lo, up in zip(lower, upper)):
                 yield PBox(chain, lower, upper)
-
-
-def pbox_document(box: PBox) -> dict:
-    """Replayable JSON form of a probability box."""
-    return {
-        "classes": [sorted(cls) for cls in box.chain.classes],
-        "lower": [str(v) for v in box.lower_cdf],
-        "upper": [str(v) for v in box.upper_cdf],
-    }
-
-
-def pi_document(pi: PossibilityDistribution) -> dict[str, str]:
-    """Replayable JSON form of a possibility distribution, in its own label order."""
-    return {label: str(value) for label, value in pi.items()}
 
 
 def _event_labels(subset: Iterable[int]) -> list[str]:

@@ -55,11 +55,25 @@ def run_process(argv, timeout=60, python=("-m", "possbox.cli"), **env):
     )
 
 
-def test_the_command_line_imports_no_dataclasses():
-    # dataclasses took 11-13 ms of a 54-68 ms import of possbox.cli (Python 3.11.7).
-    script = "import sys, possbox.cli; print('dataclasses' in sys.modules)"
+def loaded_by(statement):
+    """The possbox modules, and which of ``dataclasses`` and ``argparse``, a fresh ``-S`` process loads."""
+    script = (
+        f"import sys; {statement}; "
+        "print(*sorted(k for k in sys.modules if k.split('.')[0] in ('possbox', 'dataclasses', 'argparse')))"
+    )
     done = run_process([], python=("-S", "-c", script))
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout.split()
+
+
+def test_the_command_line_imports_no_dataclasses():
+    # dataclasses took 11-13 ms of a 54-68 ms import of possbox.cli (Python 3.11.7);
+    # the oracle, the joints and the suites load only for the commands that run them.
+    models = ["possbox.chain", "possbox.maxitive", "possbox.pbox", "possbox.possibility", "possbox.rationals"]
+    assert loaded_by("import possbox") == ["possbox", *models]
+    assert loaded_by("import possbox.cli") == sorted(["argparse", "possbox", "possbox.cli", *models])
+    # The sweeps' set-up imports verify, which needs no parser.
+    assert not {"possbox.cli", "argparse"} & set(loaded_by("import possbox.verify"))
 
 
 def test_distributions_have_one_writer(write_doc, capsys):

@@ -105,10 +105,12 @@ REFUSALS = {
     "chain-label-twice": (lambda: Chain([["a"], ["a"]]), "label 'a' appears in more than one class"),
     "chain-string-class": (lambda: Chain(["ab", ["c"]]), "class 0 is a string, not a list of labels"),
     "chain-strings": (lambda: Chain(["mon", "tue"]), "class 0 is a string, not a list of labels"),
-    "chain-bytes-label": (lambda: Chain([[b"a"]]), "class 0 holds a label of type bytes, not str"),
-    "chain-int-label": (lambda: Chain([{1, 2}]), "class 0 holds a label of type int, not str"),
-    "chain-none-label": (lambda: Chain([["a"], [None]]), "class 1 holds a label of type NoneType, not str"),
-    "chain-list-label": (lambda: Chain([[["a"]]]), "class 0 holds a label of type list, not str"),
+    "chain-bytes-label": (lambda: Chain([[b"a"]]), "class 0: " + LABEL.format("bytes")),
+    "chain-int-label": (lambda: Chain([{1, 2}]), "class 0: " + LABEL.format("int")),
+    "chain-none-label": (lambda: Chain([["a"], [None]]), "class 1: " + LABEL.format("NoneType")),
+    "chain-list-label": (lambda: Chain([[["a"]]]), "class 0: " + LABEL.format("list")),
+    "chain-mixed-tuple-label": (lambda: Chain([["a"], [("b", 1)]]), "class 1: " + LABEL.format("tuple")),
+    "chain-nested-tuple-label": (lambda: Chain([[(("a", "a"), "a")]]), "class 0: " + LABEL.format("tuple")),
     **{f"string-{ask.__name__}": (lambda ask=ask: ask("ac"), STRING_EVENT) for ask in EVENT_ASKS},
     "long-string": (
         lambda: CHAIN.event("x" * 500), f"event '{'x' * 39}... (502 characters) is a string, not a list of labels"
@@ -141,6 +143,10 @@ REFUSALS = {
     # A lone distribution iterates its labels.
     "family-of-pi": (lambda: MarginalFamily(PI), "marginal 0 is a str, not a PossibilityDistribution"),
     "family-of-dict": (lambda: MarginalFamily([PI, {"a": 1}]), "marginal 1 is a dict, not a PossibilityDistribution"),
+    # A joint of a joint would key its points on nested tuples, which no label may be.
+    "family-of-joint": (
+        lambda: MarginalFamily([PI, VALID["joint"]]), "marginal 1 has the point key ('a', 'a'): a joint is not a marginal"
+    ),
     "rectangle-short": (
         lambda: combine_rectangle(FAMILY, [{"a"}], "frechet"), "rectangle has 1 components, family has 2"
     ),
@@ -159,3 +165,10 @@ def test_each_refusal_has_its_line(call, line):
         assert str(raised.value) == line
     else:
         assert "unhashable type: 'list'" in str(raised.value)
+
+
+def test_a_chain_of_point_keys_shows_and_orders_its_labels():
+    # Strings keep their order within a class (the golden corpus fixes it); tuples follow.
+    chain = Chain([["b", ("a", "c"), "a", ("a",)], [("a", "b")]])
+    assert repr(chain) == "Chain({a, b, (a), (a, c)}, {(a, b)})"
+    assert chain.labels_by_class() == ((0, "a"), (0, "b"), (0, ("a",)), (0, ("a", "c")), (1, ("a", "b")))

@@ -4,6 +4,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
+from conftest import every_event
 
 from possbox import (
     MarginalFamily,
@@ -13,6 +14,7 @@ from possbox import (
     joint_independent,
     joint_rsi_outer,
     least_conservative_check,
+    possibility_to_pbox,
 )
 from possbox.multivariate import _build_joint
 from possbox.verify import _canonical_marginals
@@ -161,6 +163,17 @@ def test_rsi_projection_is_outer_bound():
             assert projected >= marginal_value
             if 0 < marginal_value < 1:
                 assert projected > marginal_value
+
+
+@pytest.mark.parametrize("build", [joint_frechet, joint_independent, joint_rsi_outer])
+def test_every_joint_converts_to_a_box_with_its_measure(family_2x2, build):
+    # Probability-box techniques apply to every possibility measure, joints
+    # included: the box keyed on product points has the joint's measure.
+    joint = build(family_2x2)
+    box = possibility_to_pbox(joint)
+    assert [label for _, label in box.chain.labels_by_class()] == sorted(joint, key=lambda p: (joint[p], p))
+    assert all(box.upper(event) == joint.measure(event) for event in every_event(joint.labels))
+    assert repr(box).startswith("PBox(Chain({(u, s)")
 
 
 def test_single_marginal_family_keeps_values():

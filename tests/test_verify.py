@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from importlib import import_module
 from math import prod
 
 import pytest
 from conftest import public_names
 
+import possbox
 from possbox import PBox, PossibilityDistribution, maxitive, verify
 from possbox.cli import main
 from possbox.maxitive import upper_01_both, upper_01_upper, zero_one_profile
@@ -568,6 +570,16 @@ def test_every_public_name_has_one_reason_to_exist():
     listed = [answers, set(NOT_ANSWERS), set(UNCHECKED)]
     assert sum(map(len, listed)) == len(set().union(*listed)), "a name is listed twice"
     assert set().union(*listed) == public_names()
+    # The package binds each name to its defining module's object, though it
+    # loads the oracle's and the joints' names only on first use.
+    star = {}
+    exec("from possbox import *", star)
+    for name in set(possbox.__all__) - {"__version__"}:
+        obj = getattr(possbox, name)
+        assert obj is getattr(import_module(obj.__module__), name) is star[name]
+    assert set(possbox.__all__) <= set(dir(possbox)) & set(star)
+    with pytest.raises(AttributeError, match="^module 'possbox' has no attribute 'simplex_max'$"):
+        possbox.simplex_max  # noqa: B018 - a module's name, but not a public one
 
 
 #: A family of the grid-2 sweep whose vector (1/2, 1/2) has two points, e1|e0 and e1|e1.
