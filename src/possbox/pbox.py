@@ -185,9 +185,12 @@ class PBox:
 
 
 def pbox_document(box: PBox) -> dict:
-    """Replayable JSON form of a probability box."""
+    """Replayable JSON form of a probability box, each class in :meth:`~possbox.chain.Chain.labels_by_class` order."""
+    classes: list[list[Label]] = [[] for _ in box.chain.classes]
+    for i, label in box.chain.labels_by_class():
+        classes[i].append(label)
     return {
-        "classes": [sorted(cls) for cls in box.chain.classes],
+        "classes": classes,
         "lower": [str(v) for v in box.lower_cdf],
         "upper": [str(v) for v in box.upper_cdf],
     }

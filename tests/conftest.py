@@ -1,7 +1,7 @@
 import pytest
 
 import possbox
-from possbox import Chain, MarginalFamily, PBox, PossibilityDistribution
+from possbox import Chain, MarginalFamily, PBox, PossibilityDistribution, oracle
 from possbox.chain import class_subsets
 from possbox.verify import default_chain, iter_chain_pboxes
 
@@ -65,6 +65,16 @@ def every_event(labels):
     """Every event over ``labels``: the subsets of the sorted labels in :func:`class_subsets` order."""
     listed = sorted(labels)
     return [frozenset(listed[j] for j in subset) for subset in class_subsets(len(listed))]
+
+
+def forbid_lp(patch):
+    """Have ``patch`` make the oracle fail whoever poses a linear program."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was posed")
+
+    patch.setattr(oracle, "Region", refuse)
+    patch.setattr(oracle, "simplex_max", refuse)
 
 
 def public_names():

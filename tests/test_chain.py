@@ -1,4 +1,3 @@
-import pytest
 from conftest import cover_classes, every_event
 
 from possbox import Chain, verify
@@ -19,14 +18,6 @@ def test_chain_ties_share_a_class():
 
 def test_event_validates_labels(chain3):
     assert chain3.event(["a", "c"]) == frozenset({"a", "c"})
-
-
-def test_a_bare_string_event_is_refused_not_read_as_its_characters():
-    # A label may be several characters long: the string is not split into unknown labels.
-    named = Chain([["ab"], ["c"]])
-    assert named.classes_hit(["ab"]) == (0,)
-    with pytest.raises(ValueError, match="^event 'ab' is a string, not a list of labels$"):
-        named.classes_hit("ab")
 
 
 def test_complement(chain3):

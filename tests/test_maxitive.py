@@ -1,7 +1,5 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
-import pytest
 from conftest import TIED_CHAINS, every_event
 
 from possbox import (
@@ -36,28 +34,12 @@ def test_profiles(p1, p2, q, r, precise):
     assert prof.first_lower_positive == prof.first_upper_positive == 1
 
 
-def test_profile_rejects_crossed_vectors():
-    # PBox refuses lower > upper, so the stand-in skips its validation.
-    crossed = SimpleNamespace(m=2, lower_cdf=(Fraction(1, 2), 1), upper_cdf=(0, 1))
-    with pytest.raises(ValueError, match="exceeds the upper"):
-        zero_one_profile(crossed)
-
-
 def test_is_maxitive(p1, p2, q, r, precise):
     assert is_maxitive(p1)
     assert not is_maxitive(p2)
     assert is_maxitive(q)
     assert is_maxitive(r)
     assert is_maxitive(precise)
-
-
-def test_specialized_formulas_require_their_profile(p1, p2, q):
-    with pytest.raises(ValueError):
-        upper_01_lower(q, {"a"})  # lower vector of q is not 0-1
-    with pytest.raises(ValueError):
-        upper_01_upper(p1, {"a"})  # upper vector of p1 is not 0-1
-    with pytest.raises(ValueError):
-        upper_01_both(p2, {"a"})
 
 
 def test_upper_01_lower_frozen(p1):

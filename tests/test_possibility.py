@@ -6,7 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
-import pytest
 from conftest import TIED_CHAINS, every_event
 
 import possbox
@@ -22,34 +21,10 @@ from possbox import (
 )
 from possbox.possibility import value_levels
 from possbox.rationals import ZERO
-from possbox.verify import default_chain, iter_chain_pboxes
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError, match="^a possibility distribution must attain the value 1$"):
-        PossibilityDistribution({"a": "1/2", "b": "99/100"})
-    with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
-        PossibilityDistribution({"a": "1", "b": "3/2"})
-    # The first value out of range in the caller's order is the one named.
-    with pytest.raises(ValueError, match=r"^value -1/3 for 'c' outside \[0, 1\]$"):
-        PossibilityDistribution({"c": "-1/3", "a": "1", "b": "3/2"})
-    with pytest.raises(ValueError):
-        PossibilityDistribution({"a": 0.5, "b": 1})
-    # Each value is checked as it is read: the first label with either fault
-    # in the caller's order is the one named, whichever the fault.
-    with pytest.raises(ValueError, match=r"^value 2 for 'a' outside \[0, 1\]$"):
-        PossibilityDistribution({"a": "2", "b": "x"})
-    with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
-        PossibilityDistribution({"a": "x", "b": "2"})
-    # A repeated bad value names its first label in the caller's order.
-    with pytest.raises(ValueError, match=r"^value 3/2 for 'b' outside \[0, 1\]$"):
-        PossibilityDistribution({"a": "1", "b": "3/2", "c": "3/2"})
-    with pytest.raises(ValueError, match=r"^value 2 for 'c' outside \[0, 1\]$"):
-        PossibilityDistribution({"a": "1/2", "b": "1/2", "c": "2", "d": "x", "e": "2"})
-    with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
-        PossibilityDistribution({"a": "1/2", "b": "x", "c": "2", "d": "x"})
-    with pytest.raises(ValueError, match="^refusing bool True: "):
-        PossibilityDistribution({"a": "1", "b": 1, "c": True})
+    # Its refusals are the pi-* rows of test_contract.REFUSALS; equal spellings read as one value.
     pi = PossibilityDistribution({"a": "1/2", "b": "0.5", "c": " 1/2 ", "d": "1/2", "e": 1})
     assert [pi[x] for x in "abcde"] == [Fraction(1, 2)] * 4 + [Fraction(1)]
 
@@ -62,16 +37,12 @@ def test_distribution_queries():
     assert pi.measure({"a"}) == Fraction(1, 2)
     assert pi.measure({"a", "b"}) == 1
     assert pi.measure(frozenset()) == 0
-    with pytest.raises(ValueError):
-        pi["z"]
     assert repr(pi) == "PossibilityDistribution({'a': 1/2, 'b': 1})"
     # Any mapping is read, a distribution included.
     assert PossibilityDistribution(pi) == pi
     assert PossibilityDistribution(MappingProxyType({"a": "1/2", "b": 1})) == pi
     # "ab" is a label here, so reading the string as its characters would answer 1.
     tricky = PossibilityDistribution({"a": "1/2", "b": 1, "ab": "1/4"})
-    with pytest.raises(ValueError, match="^event 'ab' is a string, not a list of labels$"):
-        tricky.measure("ab")
     assert tricky.measure(["ab"]) == Fraction(1, 4)
 
 
@@ -182,11 +153,6 @@ def test_zero_one_possibility_frozen(r, precise):
     assert (pi["a"], pi["b"], pi["c"]) == (0, 1, 0)
 
 
-def test_zero_one_possibility_requires_both_vectors(p1):
-    with pytest.raises(ValueError):
-        zero_one_possibility(p1)
-
-
 def test_vacuous_box_gives_vacuous_possibility(chain3):
     vacuous = PBox(chain3, ["0", "0", "1"], ["1", "1", "1"])
     pi = zero_one_possibility(vacuous)
@@ -219,18 +185,10 @@ def assert_bounds_are_the_decomposition_measures(box):
         assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
-    for box in iter_chain_pboxes(default_chain(m), 4):
+def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(grid4_boxes):
+    # Tied chains included: their events cut tied classes.
+    for box in grid4_boxes:
         assert_bounds_are_the_decomposition_measures(box)
-
-
-def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
-    # Every event of five labels, the empty and full ones and those that
-    # cut a tied class among them, on every grid box with three classes.
-    tied = TIED_CHAINS[-1]
-    for box in iter_chain_pboxes(default_chain(3), 4):
-        assert_bounds_are_the_decomposition_measures(PBox(tied, box.lower_cdf, box.upper_cdf))
 
 
 def test_conjunction_bounds_on_end_events_and_cut_classes():
@@ -240,8 +198,6 @@ def test_conjunction_bounds_on_end_events_and_cut_classes():
     # {b, c} cuts the bottom class, so its complement {a, d, e} hits both end classes.
     assert conjunction_bounds(box, {"b", "c"}) == (0, Fraction(3, 4))
     assert conjunction_bounds(box, {"a", "b", "c"}) == (Fraction(1, 2), Fraction(3, 4))
-    with pytest.raises(ValueError, match="^unknown label 'z'$"):
-        conjunction_bounds(box, ["a", "z", "y"])
 
 
 def test_conjunction_upper_gap_on_middle_class(p2):

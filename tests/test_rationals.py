@@ -96,13 +96,6 @@ def test_exact_reads_one_number_syntax_in_lowest_terms():
             assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1, text
 
 
-@pytest.mark.parametrize("text", ["1/0", "1/00", " -3/000 "])
-def test_a_zero_denominator_is_not_an_exact_rational(text):
-    with pytest.raises(ValueError) as raised:
-        exact(text)
-    assert str(raised.value) == f"not an exact rational: {text!r}"
-
-
 #: ``(value, what exact reads)`` for values that are not strings: only a
 #: ``numbers.Rational`` reaches ``Fraction``.  A ``Decimal`` does not, so an
 #: infinite one cannot escape as ``OverflowError`` and a huge exponent is not

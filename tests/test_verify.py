@@ -38,8 +38,6 @@ from possbox.verify import (
 def test_grid_values():
     assert grid_values(2) == (0, Fraction(1, 2), 1)
     assert grid_values(1) == (0, 1)
-    with pytest.raises(ValueError, match="^grid denominator must be at least 1$"):
-        grid_values(0)
 
 
 def test_iter_cdf_vectors_end_at_one():
@@ -96,16 +94,8 @@ def test_a_suite_that_checked_nothing_is_not_ok():
         assert empty.summary().startswith("suite x: FAILED")
 
 
-def test_run_suite_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        run_suite("no-such-suite")
-
-
 def test_run_suite_size_knobs():
     assert run_suite("oracle", 1, 1).cases == 1
-    for knobs in ((0, None), (None, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            run_suite("oracle", *knobs)
 
 
 @pytest.mark.parametrize(
