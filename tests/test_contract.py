@@ -310,14 +310,19 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("call, line", REFUSALS.values(), ids=REFUSALS)
-def test_each_refusal_has_its_line(call, line):
+def assert_refusal(call, line):
+    """``call()`` raises a ``ValueError`` reading ``line``, or, for ``line`` ``TypeError``, Python's own."""
     with pytest.raises(TypeError if line is TypeError else ValueError) as raised:
         call()
     if isinstance(line, str):
         assert str(raised.value) == line
     else:
         assert "unhashable type: 'list'" in str(raised.value)
+
+
+@pytest.mark.parametrize("call, line", REFUSALS.values(), ids=REFUSALS)
+def test_each_refusal_has_its_line(call, line):
+    assert_refusal(call, line)
 
 
 def test_a_chain_of_point_keys_shows_and_orders_its_labels():

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 from conftest import TIED_CHAINS, every_event
+from test_contract import BAD_BOXES, assert_refusal
 
 import possbox.rationals
 from possbox import Chain, PBox
@@ -68,6 +69,25 @@ def test_the_first_bad_string_is_named_when_it_repeats(chain3, lower, upper, mes
         with pytest.raises(ValueError) as raised:
             PBox(chain3, lower, upper)
         assert str(raised.value) == message
+
+
+LONG_VALUE = "1" + "0" * 39 + "... (401 characters)"
+
+
+#: The constructor's refusals are the box-* rows of test_contract.REFUSALS;
+#: this one keeps the id it had among them when they were listed here.
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [pytest.param(*BAD_BOXES["box-long-value"], id=f"lower6-upper6-upper[1] = {LONG_VALUE} outside [0, 1]")],
+)
+def test_constructor_error_lines(chain3, lower, upper, message):
+    assert_refusal(lambda: PBox(chain3, lower, upper), message)
+
+
+def test_error_lines_cut_long_values(chain3):
+    # In either vector the line keeps the head of a long value and counts its characters.
+    assert_refusal(lambda: PBox(chain3, ["0", "0", "1"], ["1/2", "1e400", "1"]), f"upper[1] = {LONG_VALUE} outside [0, 1]")
+    assert_refusal(lambda: PBox(chain3, ["0", "1e400", "1"], ["1/2", "1", "1"]), f"lower[1] = {LONG_VALUE} outside [0, 1]")
 
 
 def test_exact_bounds_decimal_strings():

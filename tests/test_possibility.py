@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
+import pytest
 from conftest import TIED_CHAINS, every_event
 
 import possbox
@@ -21,6 +22,7 @@ from possbox import (
 )
 from possbox.possibility import value_levels
 from possbox.rationals import ZERO
+from possbox.verify import default_chain, iter_chain_pboxes
 
 
 def test_distribution_validation():
@@ -185,10 +187,18 @@ def assert_bounds_are_the_decomposition_measures(box):
         assert conjunction_bounds(box, event) == (approx_lower, approx_upper), (box, event)
 
 
-def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(grid4_boxes):
-    # Tied chains included: their events cut tied classes.
-    for box in grid4_boxes:
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_conjunction_bounds_are_the_decomposition_measures_on_every_grid_box(m):
+    for box in iter_chain_pboxes(default_chain(m), 4):
         assert_bounds_are_the_decomposition_measures(box)
+
+
+def test_conjunction_bounds_are_the_decomposition_measures_on_tied_classes():
+    # Every event on every grid box of each tied chain, the events that cut
+    # a tied class among them.
+    for chain in TIED_CHAINS:
+        for box in iter_chain_pboxes(chain, 4):
+            assert_bounds_are_the_decomposition_measures(box)
 
 
 def test_conjunction_bounds_on_end_events_and_cut_classes():
