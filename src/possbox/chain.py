@@ -158,9 +158,6 @@ class Chain:
         # Only PBox.__eq__ calls this, for the benchmark's check of each pass's results.
         return isinstance(other, Chain) and self.classes == other.classes
 
-    def __hash__(self) -> int:
-        return hash(self.classes)
-
     def __repr__(self) -> str:
         body = ", ".join("{" + ", ".join(map(_written, sorted(cls, key=_order))) + "}" for cls in self.classes)
         return f"Chain({body})"
@@ -181,6 +178,20 @@ def _order(label: Label) -> tuple[bool, Label]:
 def _written(label: Label) -> str:
     """A label as :class:`Chain`'s ``repr`` writes it: a string bare, a tuple ``(a, b)``."""
     return label if isinstance(label, str) else "(" + ", ".join(label) + ")"
+
+
+def _keys(labels: Iterable[Label]) -> list[str]:
+    """Each label as a document writes it: a string bare, a tuple's coordinates joined by ``|``.
+
+    Two labels that would write the same key are refused, so no label is dropped.
+    """
+    keys: dict[str, Label] = {}
+    for label in labels:
+        key = label if isinstance(label, str) else "|".join(label)
+        if keys.setdefault(key, label) != label:
+            first, key = shown(keys[key], repr), shown(key, repr)
+            raise ValueError(f"labels {first} and {shown(label, repr)} both write the key {key}")
+    return list(keys)
 
 
 def _refuse_string(labels: Iterable[Label]) -> None:

@@ -16,6 +16,9 @@ returns the JSON payload and the text of its answer; it is registered once,
 with the reader that builds its model from the document (none for
 ``verify``).  :func:`main` is the one path from argv to answer: it loads the
 document, calls the reader and the command, prints, and picks the exit code.
+A bad document or argument, here or in the library, raises ``ValueError``,
+which :func:`main` alone turns into one ``error:`` line and exit 2.  Every
+model printed, a joint included, goes through the library's two writers.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from possbox.rationals import shown
 
 if TYPE_CHECKING:
     from possbox.multivariate import MarginalFamily
-
-
-class CliError(Exception):
-    """Input or usage problem; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,51 +80,51 @@ def _load_document(args: argparse.Namespace) -> dict:
             text = sys.stdin.read()
         doc = json.loads(text)
     except OSError as exc:
-        raise CliError(f"cannot read {shown(args.input)}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {shown(args.input)}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, a huge integer
-        raise CliError(f"unreadable document: {exc}") from exc
+        raise ValueError(f"unreadable document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError("model document must be a JSON object")
+        raise ValueError("model document must be a JSON object")
     if not any(key in doc for key in ("classes", "pi", "marginals")):
-        raise CliError("model document holds none of: classes/lower/upper, pi, marginals")
+        raise ValueError("model document holds none of: classes/lower/upper, pi, marginals")
     return doc
 
 
 def _document_chain(doc: dict) -> Chain:
     classes = doc.get("classes")
     if classes is None:
-        raise CliError('document field "classes" is required for this command')
+        raise ValueError('document field "classes" is required for this command')
     if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
-        raise CliError('"classes" must be a list of lists of labels')
+        raise ValueError('"classes" must be a list of lists of labels')
     if not all(isinstance(label, str) for cls in classes for label in cls):
-        raise CliError('every label in "classes" must be a string')
+        raise ValueError('every label in "classes" must be a string')
     try:
         return Chain(classes)
     except ValueError as exc:
-        raise CliError(f'bad "classes": {exc}') from exc
+        raise ValueError(f'bad "classes": {exc}') from exc
 
 
 def _document_pbox(doc: dict) -> PBox:
     chain = _document_chain(doc)
     for key in ("lower", "upper"):
         if not isinstance(doc.get(key), list):
-            raise CliError(f'document field "{key}" must be a list of exact values')
+            raise ValueError(f'document field "{key}" must be a list of exact values')
     try:
         return PBox(chain, doc["lower"], doc["upper"])
     except ValueError as exc:
-        raise CliError(f"bad probability box: {exc}") from exc
+        raise ValueError(f"bad probability box: {exc}") from exc
 
 
 def _document_pi(doc: dict) -> PossibilityDistribution:
     pi = doc.get("pi")
     if not isinstance(pi, dict):
-        raise CliError('document field "pi" must be an object of label -> exact value')
+        raise ValueError('document field "pi" must be an object of label -> exact value')
     try:
         return PossibilityDistribution(pi)
     except ValueError as exc:
-        raise CliError(f'bad "pi": {exc}') from exc
+        raise ValueError(f'bad "pi": {exc}') from exc
 
 
 def _document_marginals(doc: dict) -> MarginalFamily:
@@ -133,27 +132,24 @@ def _document_marginals(doc: dict) -> MarginalFamily:
 
     marginals = doc.get("marginals")
     if not isinstance(marginals, list) or not marginals:
-        raise CliError('document field "marginals" must be a non-empty list of objects')
+        raise ValueError('document field "marginals" must be a non-empty list of objects')
     dists = []
     for k, entry in enumerate(marginals):
         if not isinstance(entry, dict):
-            raise CliError(f"marginal {k} must be an object of label -> exact value")
+            raise ValueError(f"marginal {k} must be an object of label -> exact value")
         try:
             dists.append(PossibilityDistribution(entry))
         except ValueError as exc:
-            raise CliError(f"bad marginal {k}: {exc}") from exc
+            raise ValueError(f"bad marginal {k}: {exc}") from exc
     return MarginalFamily(dists)
 
 
 def _event_from_args(args: argparse.Namespace, chain: Chain) -> frozenset[str]:
     raw = args.event
     if raw is None:
-        raise CliError("--event is required for this command")
+        raise ValueError("--event is required for this command")
     labels = [part for part in (piece.strip() for piece in raw.split(",")) if part]
-    try:
-        event = chain.event(labels)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    event = chain.event(labels)
     if args.complement:
         event = chain.complement(event)
     return event
@@ -167,9 +163,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
     except UnicodeEncodeError as exc:  # raised before anything is written
         bad = exc.object[exc.start : exc.end]
-        raise CliError(
-            f"stdout ({exc.encoding}) cannot encode {shown(ascii(bad))}; use --json"
-        ) from exc
+        raise ValueError(f"stdout ({exc.encoding}) cannot encode {shown(ascii(bad))}; use --json") from exc
 
 
 # ----------------------------------------------------------------- commands
@@ -251,24 +245,15 @@ def _joint(family: MarginalFamily, args: argparse.Namespace) -> tuple[dict, str]
     for k, domain in enumerate(family.domains):
         for label in domain:
             if "|" in label:
-                raise CliError(
-                    f"marginal {k} label {shown(label, repr)} contains '|', the separator of point keys"
-                )
-    try:
-        joint = JOINTS[args.rule](family)
-    except ValueError as exc:  # past the ceiling on product points
-        raise CliError(str(exc)) from exc
-    values = {"|".join(point): str(joint[point]) for point in family.points()}
+                raise ValueError(f"marginal {k} label {shown(label, repr)} contains '|', the separator of point keys")
+    values = pi_document(JOINTS[args.rule](family))
     return {"rule": args.rule, "pi": values}, "\n".join(f"{key} = {value}" for key, value in values.items())
 
 
 def _verify(_: None, args: argparse.Namespace) -> tuple[dict, str]:
     from possbox.verify import run_suite
 
-    try:
-        report = run_suite(args.suite, args.max_classes, args.grid)
-    except ValueError as exc:  # a size below 1, or past the ceiling of the suite's oracle
-        raise CliError(str(exc)) from exc
+    report = run_suite(args.suite, args.max_classes, args.grid)
     payload = {"suite": report.suite, "cases": report.cases, "checks": report.checks, "ok": report.ok}
     text = report.summary()
     if report.counterexample is not None:
@@ -350,7 +335,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         model = None if args.read is None else args.read(_load_document(args))
         payload, text = args.answer(model, args)
         _emit(args, payload, text)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover - downstream closed the pipe

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from possbox.chain import SENTINEL, Chain, Label
+from possbox.chain import SENTINEL, Chain, Label, _keys
 from possbox.rationals import ONE, ZERO, _exact_each, shown
 
 
@@ -115,9 +115,6 @@ class PBox:
             and self.upper_cdf == other.upper_cdf
         )
 
-    def __hash__(self) -> int:
-        return hash((self.chain, self.lower_cdf, self.upper_cdf))
-
     def __repr__(self) -> str:
         lo = ", ".join(str(v) for v in self.lower_cdf)
         up = ", ".join(str(v) for v in self.upper_cdf)
@@ -185,10 +182,12 @@ class PBox:
 
 
 def pbox_document(box: PBox) -> dict:
-    """Replayable JSON form of a probability box, each class in :meth:`~possbox.chain.Chain.labels_by_class` order."""
-    classes: list[list[Label]] = [[] for _ in box.chain.classes]
-    for i, label in box.chain.labels_by_class():
-        classes[i].append(label)
+    """Replayable JSON form of a probability box, each class in :meth:`~possbox.chain.Chain.labels_by_class` order.
+
+    A tuple label is written as its coordinates joined by ``|``; two labels with one key are refused.
+    """
+    keys = iter(_keys(label for _, label in box.chain.labels_by_class()))
+    classes = [[next(keys) for _ in cls] for cls in box.chain.classes]
     return {
         "classes": classes,
         "lower": [str(v) for v in box.lower_cdf],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from possbox.chain import Chain, Label, _label, _refuse_string
+from possbox.chain import Chain, Label, _keys, _label, _refuse_string
 from possbox.maxitive import is_maxitive, upper_01_both
 from possbox.pbox import PBox
 from possbox.rationals import ONE, ZERO, exact, shown
@@ -128,16 +128,17 @@ class PossibilityDistribution:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PossibilityDistribution) and self._values == other._values
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         body = ", ".join(f"{label!r}: {v}" for label, v in self._values.items())
         return f"PossibilityDistribution({{{body}}})"
 
 
 def pi_document(pi: PossibilityDistribution) -> dict[str, str]:
-    """Replayable JSON form of a possibility distribution, in its own label order."""
-    return {label: str(value) for label, value in pi.items()}
+    """Replayable JSON form of a possibility distribution, in its own label order.
+
+    A tuple label is written as its coordinates joined by ``|``; two labels with one key are refused.
+    """
+    return dict(zip(_keys(pi), (str(value) for _, value in pi.items())))
 
 
 def pbox_to_possibility(box: PBox) -> PossibilityDistribution | None:

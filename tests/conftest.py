@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import possbox
@@ -19,6 +25,17 @@ def grid4_boxes() -> tuple[PBox, ...]:
     """Every grid-4 box of at most four classes (611), then those on :data:`TIED_CHAINS` (15 + 15 + 105)."""
     boxes = [box for m in range(1, 5) for box in iter_chain_pboxes(default_chain(m), 4)]
     return tuple(boxes + [box for chain in TIED_CHAINS for box in iter_chain_pboxes(chain, 4)])
+
+
+@pytest.fixture
+def write_doc(tmp_path):
+    """Write a JSON document under ``tmp_path``; return its path."""
+    def _write(doc, name="doc.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    return _write
 
 
 @pytest.fixture
@@ -83,3 +100,13 @@ def public_names():
     for cls in (Chain, PBox, PossibilityDistribution, MarginalFamily):
         names.update(f"{cls.__name__}.{name}" for name in dir(cls) if not name.startswith("_"))
     return names
+
+
+def run_process(argv, timeout=60, python=("-m", "possbox.cli"), stdin=None, **env):
+    """``python -m possbox.cli`` (or other ``python`` arguments) in a fresh process fed ``stdin``, with a time limit."""
+    source = str(Path(possbox.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *python, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=timeout
+    )

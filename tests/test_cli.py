@@ -9,50 +9,23 @@ check that the command line shares its writers with the library.
 
 import io
 import json
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
+from conftest import run_process
 from golden_corpus import BOXES, MARGINALS, load
 
-import possbox
-from possbox import Chain, PBox, cli, oracle, pbox_to_possibility, verify
+from possbox import Chain, PBox, cli, joint_frechet, oracle, pbox_to_possibility, possibility_to_pbox, verify
 from possbox.cli import main
 from possbox.multivariate import JOINTS, MAX_POINTS, MarginalFamily
 from possbox.possibility import PossibilityDistribution
-
-
-@pytest.fixture
-def write_doc(tmp_path):
-    def _write(doc, name="doc.json"):
-        path = tmp_path / name
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return str(path)
-
-    return _write
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_process(argv, timeout=60, python=("-m", "possbox.cli"), **env):
-    """``python -m possbox.cli`` (or other ``python`` arguments) in a fresh process, with a time limit."""
-    source = str(Path(possbox.__file__).resolve().parents[1])
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *python, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
 
 
 def loaded_by(statement):
@@ -85,12 +58,30 @@ def test_distributions_have_one_writer(write_doc, capsys):
     expected = {"pi": verify.pi_document(pbox_to_possibility(box))}
     assert (code, out) == (0, json.dumps(expected, separators=(",", ":")) + "\n")
     assert list(expected["pi"]) == ["a", "b", "c", "d", "e"]
+    # A joint's product point is written as its coordinates joined by |, and replays.
+    pi = {"a": "1/2", "b": "1"}
+    joint = joint_frechet(MarginalFamily([PossibilityDistribution(pi)] * 2))
+    written = json.loads(json.dumps(verify.pi_document(joint)))
+    assert written == {"a|a": "1/2", "a|b": "1", "b|a": "1", "b|b": "1"}
+    code, out, _ = run(capsys, "joint", "--input", write_doc({"marginals": [pi] * 2}), "--rule", "frechet", "--json")
+    assert (code, json.loads(out)["pi"]) == (0, written)
+    box = write_doc(verify.pbox_document(possibility_to_pbox(joint)), "box.json")
+    code, out, _ = run(capsys, "to-possibility", "--input", box, "--json")
+    assert (code, json.loads(out)) == (0, {"pi": written})
+
+
+def test_a_value_error_from_any_command_is_one_error_line_and_exit_2(write_doc, capsys, monkeypatch):
+    def boom(box):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "pbox_to_possibility", boom)
+    assert run(capsys, "to-possibility", "--input", write_doc(BOXES["maxitive"])) == (2, "", "error: boom\n")
 
 
 def test_joint_refuses_labels_holding_the_key_separator(write_doc, capsys):
-    # The four points (a, c), (a, b|c), (a|b, c), (a|b, b|c) would print as
-    # three keys, since a|b|c stands for two of them.  The golden case holds
-    # the refusal in text; --json refuses alike, and validate accepts.
+    # The points (a, c), (a, b|c), (a|b, c), (a|b, b|c) would write three keys,
+    # a|b|c standing for two; the refusal names the marginal.  The golden case
+    # holds it in text; --json refuses alike, and validate accepts.
     case = next(case for case in load()["input-errors"] if case["name"] == "joint label with separator")
     path = write_doc(json.loads(case["stdin"]))
     code, out, err = run(capsys, *case["argv"], "--input", path, "--json")

@@ -22,6 +22,7 @@ from possbox import possibility_to_pbox, upper_01_both, upper_01_lower, upper_01
 from possbox import oracle, zero_one_profile
 from possbox.oracle import simplex_max
 from possbox.pbox import pbox_document
+from possbox.possibility import pi_document
 from possbox.rationals import MAX_DIGITS, exact
 from possbox.verify import grid_values, run_suite
 
@@ -114,6 +115,8 @@ P2 = PBox(CHAIN, ["1/5", "2/5", "1"], ["1/2", "4/5", "1"])  # neither vector 0-1
 Q = PBox(CHAIN, ["0", "2/5", "1"], ["0", "1", "1"])  # 0-1 upper vector only
 # "ab" is a label here, so reading the string as its characters would answer.
 AB = PossibilityDistribution({"a": "1/2", "b": 1, "ab": "1/4"})
+SPLIT = PossibilityDistribution({("a", "b|c"): 1, ("a|b", "c"): 1})
+KEY_TWICE = "labels ('a', 'b|c') and ('a|b', 'c') both write the key 'a|b|c'"
 EVENT_ASKS = (CHAIN.classes_hit, CHAIN.event, CHAIN.complement, BOX.upper, BOX.lower)
 ROWS = [([1], "<=", Fraction(1, 2))]
 REGION = oracle.Region(1, ROWS)
@@ -246,6 +249,8 @@ REFUSALS = {
     **{name: (lambda values=values: PossibilityDistribution(values), line) for name, (values, line) in BAD_DISTRIBUTIONS.items()},
     "pbox-from-dict": (lambda: possibility_to_pbox({"a": "1/2", "b": "1"}), DICT),
     "pbox-from-ones": (lambda: possibility_to_pbox({"a": "1", "b": "1.0"}), DICT),
+    "key-twice-pi_document": (lambda: pi_document(SPLIT), KEY_TWICE),
+    "key-twice-pbox_document": (lambda: pbox_document(possibility_to_pbox(SPLIT)), KEY_TWICE),
     "family-empty": (lambda: MarginalFamily([]), "a marginal family needs at least one marginal"),
     # A lone distribution iterates its labels.
     "family-of-pi": (lambda: MarginalFamily(PI), "marginal 0 is a str, not a PossibilityDistribution"),
@@ -331,7 +336,7 @@ def test_a_chain_of_point_keys_shows_and_orders_its_labels():
     assert repr(chain) == "Chain({a, b, (a), (a, c)}, {(a, b)})"
     assert chain.labels_by_class() == ((0, "a"), (0, "b"), (0, ("a",)), (0, ("a", "c")), (1, ("a", "b")))
     box = possibility_to_pbox(PossibilityDistribution({"a": 1, ("b", "c"): 1}))
-    assert pbox_document(box)["classes"] == [["a", ("b", "c")]]
+    assert pbox_document(box)["classes"] == [["a", "b|c"]]
 
 
 #: ``(file, function, reason)`` for each ``pytest.raises(ValueError ...)``

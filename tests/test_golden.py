@@ -5,13 +5,9 @@ or as a demo script, and must print the recorded bytes and exit with the
 recorded code.  ``golden_corpus.py`` says how the files are written.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
-
-from golden_corpus import REPO, differs, load
+from conftest import run_process
+from golden_corpus import differs, load
 
 CORPUS = load()
 
@@ -38,16 +34,8 @@ TIED_CASES = (
 def test_tied_labels_print_the_same_in_a_process_under_two_hash_seeds():
     cases = [case for case in CORPUS["models"] if case["name"] in TIED_CASES]
     assert sorted(case["name"] for case in cases) == sorted(TIED_CASES)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     for case in cases:
         for seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-m", "possbox.cli", *case["argv"]],
-                input=case["stdin"],
-                capture_output=True,
-                text=True,
-                env=dict(env, PYTHONHASHSEED=seed),
-                timeout=60,
-            )
+            done = run_process(case["argv"], stdin=case["stdin"], PYTHONHASHSEED=seed)
             got = (done.stdout, done.stderr, done.returncode)
             assert got == (case["stdout"], case["stderr"], case["exit"]), (case["name"], seed)

@@ -1,15 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from conftest import TIED_CHAINS, every_event
+from conftest import TIED_CHAINS, every_event, run_process
 
-import possbox
 from possbox import (
     Chain,
     PBox,
@@ -231,14 +226,9 @@ print(*conjunction_decompose(box), sep="\\n")
 
 
 def test_distributions_built_from_a_box_list_labels_the_same_under_any_hash_seed():
-    source = str(Path(possbox.__file__).resolve().parents[1])
     outputs = set()
     for seed in ("0", "1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", BUILT_FROM_A_BOX], capture_output=True, text=True, env=env, timeout=60
-        )
+        done = run_process([], python=("-c", BUILT_FROM_A_BOX), PYTHONHASHSEED=seed)
         assert (done.returncode, done.stderr) == (0, ""), seed
         outputs.add(done.stdout)
     (printed,) = outputs

@@ -142,7 +142,7 @@ WRONG_ANSWERS = [
 
 @pytest.mark.parametrize("answer, suite, owner, compared, command, reported", WRONG_ANSWERS)
 def test_a_wrong_answer_fails_with_a_replayable_counterexample(
-    monkeypatch, capsys, tmp_path, answer, suite, owner, compared, command, reported
+    monkeypatch, capsys, write_doc, answer, suite, owner, compared, command, reported
 ):
     monkeypatch.setattr(owner, compared, raised(getattr(owner, compared)))
     assert main(["verify", "--suite", suite, "--max-classes", "2", "--grid", "2", "--json"]) == 1
@@ -151,19 +151,16 @@ def test_a_wrong_answer_fails_with_a_replayable_counterexample(
     counterexample = payload["counterexample"]
 
     # Replayed through the same route, the event gets the answer the suite reported.
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
+    path = write_doc(counterexample["document"])
     event = ",".join(counterexample["event"])
-    assert main([command, "--input", str(path), "--event", event, "--json"]) == 0
+    assert main([command, "--input", path, "--event", event, "--json"]) == 0
     answer = counterexample
     for key in reported:
         answer = answer[key]
     assert json.loads(capsys.readouterr().out) == {command: answer}
 
 
-def test_a_wrong_possibility_conversion_fails_with_a_replayable_counterexample(
-    monkeypatch, capsys, tmp_path
-):
+def test_a_wrong_possibility_conversion_fails_with_a_replayable_counterexample(monkeypatch, capsys, write_doc):
     right = verify.pbox_to_possibility
 
     def flattened(box):
@@ -178,13 +175,12 @@ def test_a_wrong_possibility_conversion_fails_with_a_replayable_counterexample(
     counterexample = payload["counterexample"]
     assert counterexample["computed_pi"] != counterexample["expected_pi"]
 
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
-    assert main(["to-possibility", "--input", str(path), "--json"]) == 0
+    path = write_doc(counterexample["document"])
+    assert main(["to-possibility", "--input", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"pi": counterexample["expected_pi"]}
 
 
-def test_a_wrong_conjunction_bound_fails_with_a_replayable_counterexample(monkeypatch, capsys, tmp_path):
+def test_a_wrong_conjunction_bound_fails_with_a_replayable_counterexample(monkeypatch, capsys, write_doc):
     right = verify.conjunction_bounds
 
     def lowered(box, event):
@@ -198,10 +194,9 @@ def test_a_wrong_conjunction_bound_fails_with_a_replayable_counterexample(monkey
     assert payload["ok"] is False
     counterexample = payload["counterexample"]
 
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps(counterexample["document"]), encoding="utf-8")
+    path = write_doc(counterexample["document"])
     event = ",".join(counterexample["event"])
-    assert main(["bounds", "--input", str(path), "--event", event, "--json"]) == 0
+    assert main(["bounds", "--input", path, "--event", event, "--json"]) == 0
     replayed = json.loads(capsys.readouterr().out)
     assert [replayed["lower"], replayed["upper"]] == counterexample["exact"]
     approx_lo, approx_up = counterexample["approx"]
@@ -218,22 +213,21 @@ def run_multivariate(capsys):
     return payload["counterexample"]
 
 
-def test_a_wrong_frechet_joint_fails_with_a_replayable_counterexample(monkeypatch, capsys, tmp_path):
+def test_a_wrong_frechet_joint_fails_with_a_replayable_counterexample(monkeypatch, capsys, write_doc):
     monkeypatch.setattr(verify, "joint_frechet", joint_independent)
     counterexample = run_multivariate(capsys)
     assert counterexample["detail"] == "Fréchet joint fails its least-conservative check"
 
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps({"marginals": counterexample["marginals"]}), encoding="utf-8")
+    path = write_doc({"marginals": counterexample["marginals"]})
     replayed = {}
     for rule in ("frechet", "independent"):
-        assert main(["joint", "--input", str(path), "--rule", rule, "--json"]) == 0
+        assert main(["joint", "--input", path, "--rule", rule, "--json"]) == 0
         replayed[rule] = json.loads(capsys.readouterr().out)["pi"]
     # The family tells the two joints apart, so it witnesses the swap.
     assert replayed["frechet"] != replayed["independent"]
 
 
-def test_a_wrong_pointwise_form_names_a_product_point_of_the_marginals(monkeypatch, capsys, tmp_path):
+def test_a_wrong_pointwise_form_names_a_product_point_of_the_marginals(monkeypatch, capsys, write_doc):
     monkeypatch.setattr(verify, "joint_rsi_outer", joint_frechet)
     counterexample = run_multivariate(capsys)
     assert counterexample["detail"] == "random-set outer bound has the wrong pointwise form"
@@ -241,11 +235,10 @@ def test_a_wrong_pointwise_form_names_a_product_point_of_the_marginals(monkeypat
     assert len(point) == len(marginals)
     assert all(label in m for label, m in zip(point, marginals))
 
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps({"marginals": marginals}), encoding="utf-8")
+    path = write_doc({"marginals": marginals})
     replayed = {}
     for rule in ("frechet", "rsi"):
-        assert main(["joint", "--input", str(path), "--rule", rule, "--json"]) == 0
+        assert main(["joint", "--input", path, "--rule", rule, "--json"]) == 0
         replayed[rule] = json.loads(capsys.readouterr().out)["pi"]["|".join(point)]
     values = [Fraction(m[label]) for label, m in zip(point, marginals)]
     assert Fraction(replayed["rsi"]) == 1 - (1 - min(values)) ** len(values)
