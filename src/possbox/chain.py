@@ -13,6 +13,8 @@ open left endpoint of runs anchored at the bottom.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
+from itertools import groupby
 from typing import Hashable, Iterable
 
 from possbox.rationals import shown
@@ -28,9 +30,9 @@ class Chain:
     """Ordered quotient of a finite totally preordered space.
 
     ``classes[0]`` holds the smallest elements, ``classes[m - 1]`` the
-    largest.  Elements sharing a class are order-equivalent.  Every label
-    is a ``str`` or a tuple of ``str`` (:func:`_label`), so a joint's
-    distribution converts to a box like any other.
+    largest; elements sharing a class are order-equivalent.  A chain keeps
+    ``m`` and its label index, in class order, and makes ``classes`` on
+    first read.  Every label is a ``str`` or a tuple of ``str`` (:func:`_label`).
 
     >>> chain = Chain([["a"], ["b"], ["c"]])
     >>> chain.m
@@ -40,32 +42,41 @@ class Chain:
     True
     """
 
-    __slots__ = ("classes", "_index")
+    __slots__ = ("_index", "_m", "_classes")
 
     def __init__(self, classes: Iterable[Iterable[Label]]):
-        listed = [cls if isinstance(cls, str) else list(cls) for cls in classes]
-        if not listed:
-            raise ValueError("a chain needs at least one class")
+        _refuse_unordered(classes, "classes", "classes")
         index: dict[Label, int] = {}
-        for i, cls in enumerate(listed):
+        for i, cls in enumerate(classes):
             if isinstance(cls, str):
                 raise ValueError(f"class {i} is a string, not a list of labels")
-            if not cls:
-                raise ValueError(f"class {i} is empty")
+            known = len(index)
             for label in cls:
                 if type(label) is not str:
                     _label(label, f"class {i}: ")
                 if index.setdefault(label, i) != i:
                     raise ValueError(f"label {shown(label, repr)} appears in more than one class")
-        self.classes = tuple(frozenset(cls) for cls in listed)
+            if len(index) == known:
+                raise ValueError(f"class {i} is empty")
+        if not index:  # every class holds a label, so no label means no class
+            raise ValueError("a chain needs at least one class")
         self._index = index
+        self._m = i + 1
+        self._classes = None
 
     # ------------------------------------------------------------ queries
 
     @property
     def m(self) -> int:
         """Number of equivalence classes."""
-        return len(self.classes)
+        return self._m
+
+    @property
+    def classes(self) -> tuple[frozenset[Label], ...]:
+        """The classes in order, each a frozenset; built on the first read and kept."""
+        if self._classes is None:
+            self._classes = tuple(frozenset(group) for _, group in groupby(self._index, self._index.__getitem__))
+        return self._classes
 
     @property
     def labels(self) -> frozenset[Label]:
@@ -156,7 +167,7 @@ class Chain:
 
     def __eq__(self, other: object) -> bool:
         # Only PBox.__eq__ calls this, for the benchmark's check of each pass's results.
-        return isinstance(other, Chain) and self.classes == other.classes
+        return isinstance(other, Chain) and self._index == other._index
 
     def __repr__(self) -> str:
         body = ", ".join("{" + ", ".join(map(_written, sorted(cls, key=_order))) + "}" for cls in self.classes)
@@ -192,6 +203,12 @@ def _keys(labels: Iterable[Label]) -> list[str]:
             first, key = shown(keys[key], repr), shown(key, repr)
             raise ValueError(f"labels {first} and {shown(label, repr)} both write the key {key}")
     return list(keys)
+
+
+def _refuse_unordered(value: object, name: str, items: str) -> None:
+    """Refuse a set or a mapping where position carries meaning: it iterates in hash order."""
+    if isinstance(value, (Set, Mapping)):
+        raise ValueError(f"{name} is a {type(value).__name__}, not a list of {items}")
 
 
 def _refuse_string(labels: Iterable[Label]) -> None:

@@ -27,6 +27,7 @@ from itertools import product
 from math import prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from possbox.chain import _refuse_unordered
 from possbox.possibility import PossibilityDistribution, value_levels
 from possbox.rationals import ONE, shown
 
@@ -192,6 +193,7 @@ def combine_rectangle(
     """
     if isinstance(rectangle, str):
         raise ValueError(f"rectangle {shown(rectangle, repr)} is a string, not a list of events")
+    _refuse_unordered(rectangle, "rectangle", "events")
     rect = list(rectangle)
     if len(rect) != len(family.marginals):
         raise ValueError(f"rectangle has {len(rect)} components, family has {len(family.marginals)}")

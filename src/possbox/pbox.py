@@ -17,22 +17,23 @@ numbers by direct optimization over the credal set, so every formula here
 is cross-checkable against an independent route.
 
 As in the oracle's tableau, the arithmetic runs on integers.  A build
-reads each distinct value string once, in a dict that lives only as long
-as the build, so nothing is cached across calls.  A box keeps each
-bound's numerator over the one common denominator of all ``2m`` values,
-checks itself and sums forced mass on those numerators, and makes a
-:class:`~fractions.Fraction` only for the value it returns.  The public
-vectors ``lower_cdf`` and ``upper_cdf`` stay ``Fraction`` tuples; the
-oracle reads those, never the numerators.
+reads each distinct value string once, with its numerator and denominator,
+and keeps each bound's numerator over the least common multiple of the
+distinct denominators.  Whole-vector comparisons of those numerators
+accept a valid box; the checks that name a refused box's first fault run
+only then.  Nothing is cached across calls.  A box sums forced mass on the
+numerators and makes a :class:`~fractions.Fraction` only for the value it
+returns; the oracle reads the public ``Fraction`` vectors, never these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import le
 from typing import Iterable
 
-from possbox.chain import SENTINEL, Chain, Label, _keys
+from possbox.chain import SENTINEL, Chain, Label, _keys, _refuse_unordered
 from possbox.rationals import ONE, ZERO, _exact_each, shown
 
 
@@ -63,38 +64,39 @@ class PBox:
         for name, vec in (("lower", lower), ("upper", upper)):
             if isinstance(vec, str):
                 raise ValueError(f"{name} is a string, not a list of values")
-        seen: dict[str, Fraction] = {}
-        lo = tuple(_exact_each(lower, seen))
-        up = tuple(_exact_each(upper, seen))
+            _refuse_unordered(vec, name, "values")
+        seen: dict[str, tuple] = {}
+        lo, lo_n, lo_d = _exact_each(lower, seen)
+        up, up_n, up_d = _exact_each(upper, seen)
         m = chain.m
         if len(lo) != m or len(up) != m:
             raise ValueError(
                 f"cumulative vectors must have one entry per class (expected {m}, "
                 f"got {len(lo)} lower / {len(up)} upper)"
             )
-        # Numerators over one common denominator; the trailing 0 is the
-        # sentinel's value, read at index -1.
-        den = lcm(*(v.denominator for v in lo), *(v.denominator for v in up))
-        lo_num = (*(v.numerator * (den // v.denominator) for v in lo), 0)
-        up_num = (*(v.numerator * (den // v.denominator) for v in up), 0)
-        for name, vec, num in (("lower", lo, lo_num), ("upper", up, up_num)):
+        den = lcm(*{*lo_d, *up_d})
+        lo_num = [n * (den // d) for n, d in zip(lo_n, lo_d)]
+        up_num = [n * (den // d) for n, d in zip(up_n, up_d)]
+        # Whole-vector comparisons accept a valid box; only a refused one runs the ordered checks below.
+        valid = 0 <= lo_num[0] and lo_num[-1] == up_num[-1] == den and all(map(le, lo_num, up_num))
+        if not (valid and lo_num == sorted(lo_num) and up_num == sorted(up_num)):
+            for name, vec, num in (("lower", lo, lo_num), ("upper", up, up_num)):
+                for i in range(m):
+                    if not (0 <= num[i] <= den):
+                        raise ValueError(f"{name}[{i}] = {shown(vec[i])} outside [0, 1]")
+                for i in range(1, m):
+                    if num[i] < num[i - 1]:
+                        raise ValueError(f"{name} cumulative vector must be non-decreasing")
             for i in range(m):
-                if not (0 <= num[i] <= den):
-                    raise ValueError(f"{name}[{i}] = {shown(vec[i])} outside [0, 1]")
-            for i in range(1, m):
-                if num[i] < num[i - 1]:
-                    raise ValueError(f"{name} cumulative vector must be non-decreasing")
-        for i in range(m):
-            if lo_num[i] > up_num[i]:
-                raise ValueError(f"lower[{i}] = {shown(lo[i])} exceeds upper[{i}] = {shown(up[i])}")
-        if lo_num[m - 1] != den or up_num[m - 1] != den:
-            raise ValueError("both cumulative vectors must equal 1 at the top class")
+                if lo_num[i] > up_num[i]:
+                    raise ValueError(f"lower[{i}] = {shown(lo[i])} exceeds upper[{i}] = {shown(up[i])}")
+            raise ValueError("both cumulative vectors must equal 1 at the top class")  # every check above held
         self.chain = chain
-        self.lower_cdf = lo
-        self.upper_cdf = up
+        self.lower_cdf = tuple(lo)
+        self.upper_cdf = tuple(up)
         self._den = den
-        self._lower_num = lo_num
-        self._upper_num = up_num
+        self._lower_num = (*lo_num, 0)  # the trailing 0 is the sentinel's value, read at index -1
+        self._upper_num = (*up_num, 0)
 
     # ------------------------------------------------------------ basics
 

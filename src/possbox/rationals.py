@@ -16,10 +16,9 @@ whole.  No ``_`` separators, no spaces around ``/`` and no digits of other
 scripts: :class:`fractions.Fraction` reads some of these on some Python
 versions only.
 
-Building a box sends each distinct string through :func:`exact` once: a
-box's ``2m`` values on a 1/64 grid repeat most of their strings.  The
-strings read so far live in a dict local to that one build; nothing is
-cached across calls.
+Building a box sends each distinct string through :func:`exact` once (a
+box's ``2m`` values on a 1/64 grid repeat most of their strings), keeping
+them in a dict local to that one build; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -62,25 +61,27 @@ def exact(value: object) -> Fraction:
     >>> exact("1/3") + exact(1)
     Fraction(4, 3)
     """
-    if isinstance(value, (bool, float)):
+    if isinstance(value, str):
+        if len(value) > MAX_DIGITS:
+            raise ValueError(f"refusing {shown(value, repr)}: length or exponent over {MAX_DIGITS}")
+        number = _NUMBER.fullmatch(value)
+        if number is None:
+            raise ValueError(f"not an exact rational: {shown(value, repr)}")
+        numerator, denominator, exponent = number.group("numerator", "denominator", "exponent")
+        if denominator is not None:
+            denominator = int(denominator)
+            if not denominator:
+                raise ValueError(f"not an exact rational: {shown(value, repr)}")
+            return Fraction(int(numerator), denominator)
+        if exponent is not None and int(exponent) > MAX_DIGITS:
+            raise ValueError(f"refusing {shown(value, repr)}: length or exponent over {MAX_DIGITS}")
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, (bool, float)):
         raise ValueError(
             f"refusing {type(value).__name__} {value!r}:"
             " pass an int, Fraction, or string like '4/5' or '0.8'"
         )
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        too_long = len(value) > MAX_DIGITS
-        number = None if too_long else _NUMBER.fullmatch(value)
-        if number is None and not too_long:
-            raise ValueError(f"not an exact rational: {shown(value, repr)}")
-        if too_long or int(number["exponent"] or 0) > MAX_DIGITS:
-            raise ValueError(f"refusing {shown(value, repr)}: length or exponent over {MAX_DIGITS}")
-        if number["denominator"] is not None:
-            denominator = int(number["denominator"])
-            if not denominator:
-                raise ValueError(f"not an exact rational: {shown(value, repr)}")
-            return Fraction(int(number["numerator"]), denominator)
     elif not isinstance(value, Rational):
         raise ValueError(f"not an exact rational: {shown(value, repr)}")
     try:
@@ -89,20 +90,25 @@ def exact(value: object) -> Fraction:
         raise ValueError(f"not an exact rational: {shown(value, repr)}") from exc
 
 
-def _exact_each(values: Iterable[object], seen: dict[str, Fraction]) -> Iterator[Fraction]:
-    """Each of ``values`` through :func:`exact`, in order, reading each distinct string once.
+def _exact_each(values: Iterable[object], seen: dict[str, tuple]) -> tuple[list[Fraction], list[int], list[int]]:
+    """Each of ``values`` through :func:`exact`, in order, as three lists: values, numerators, denominators.
 
-    ``seen`` maps the strings read so far in one build to their values; a
-    build passes the same dict for all its vectors and drops it after.  Only
-    ``str`` inputs are keyed: ``True == 1 == Fraction(1)`` hash alike, so a
-    value-keyed dict would let a refused boolean through.  A bad entry raises
-    when it is reached, so the first one in the caller's order is named.
+    ``seen`` maps the strings read so far in one build to their entries, so
+    each distinct string is read once; a build passes the same dict for all
+    its vectors and drops it after.  Only ``str`` inputs are keyed: ``True
+    == 1 == Fraction(1)`` hash alike, so a value-keyed dict would let a
+    refused boolean through.  A bad entry raises when reached, naming the
+    first in the caller's order.  Flat lists keep no tuple per value.
     """
+    fractions, numerators, denominators = [], [], []
     for v in values:
-        if type(v) is str:
-            q = seen.get(v)
-            if q is None:
-                q = seen[v] = exact(v)
-            yield q
-        else:
-            yield exact(v)
+        entry = seen.get(v) if type(v) is str else None
+        if entry is None:
+            q = exact(v)
+            entry = q, q.numerator, q.denominator
+            if type(v) is str:
+                seen[v] = entry
+        fractions.append(entry[0])
+        numerators.append(entry[1])
+        denominators.append(entry[2])
+    return fractions, numerators, denominators

@@ -1,8 +1,12 @@
-import pytest
-from conftest import cover_classes, every_event
+from itertools import permutations
 
-from possbox import Chain, verify
+import pytest
+from conftest import TIED_CHAINS, cover_classes, every_event
+
+from possbox import Chain, MarginalFamily, PBox, PossibilityDistribution, joint_frechet, possibility_to_pbox, verify
 from possbox.chain import SENTINEL, class_subsets
+from possbox.pbox import pbox_document
+from possbox.possibility import value_levels
 
 
 def test_chain_basic_queries(chain3):
@@ -89,3 +93,41 @@ def test_chain_equality_and_hash():
     with pytest.raises(TypeError, match="unhashable"):
         hash(one)
     assert one != Chain([["b"], ["a"]])
+
+
+#: What a chain shows of itself, and what a box on it writes.
+VIEWS = {
+    "classes": lambda box: box.chain.classes,
+    "labels_by_class": lambda box: box.chain.labels_by_class(),
+    "repr": lambda box: repr(box.chain),
+    "pbox_document": pbox_document,
+}
+
+
+def vacuous(chain):
+    return PBox(chain, [0] * (chain.m - 1) + [1], [1] * chain.m)
+
+
+PI = PossibilityDistribution({"a": "1/2", "b": "1"})
+JOINT = joint_frechet(MarginalFamily([PI, PI]))
+#: ``(make, classes)``: ``make`` builds a box on a chain built afresh from ``classes``.
+FRESH_BOXES = {
+    **{f"default-{m}": (lambda m=m: vacuous(verify.default_chain(m)), [[f"x{i}"] for i in range(m)]) for m in range(1, 6)},
+    **{
+        f"tied-{k}": (lambda classes=classes: vacuous(Chain(classes)), classes)
+        for k, classes in enumerate([sorted(cls) for cls in chain.classes] for chain in TIED_CHAINS)
+    },
+    "joint": (lambda: possibility_to_pbox(JOINT), [labels for _, labels in value_levels(JOINT, JOINT)]),
+}
+
+
+@pytest.mark.parametrize("make, classes", FRESH_BOXES.values(), ids=FRESH_BOXES)
+def test_a_chain_shows_the_same_whichever_view_is_read_first(make, classes):
+    # A chain makes its classes on first read: each of the 24 orders of reading sees the classes it was built from.
+    first = None
+    for order in permutations(VIEWS):
+        box = make()
+        views = {name: VIEWS[name](box) for name in order}
+        first = first or views
+        assert views == first, order
+    assert first["classes"] == tuple(map(frozenset, classes))

@@ -188,6 +188,18 @@ REFUSALS = {
     "chain-list-label": (lambda: Chain([[["a"]]]), "class 0: " + LABEL.format("list")),
     "chain-mixed-tuple-label": (lambda: Chain([["a"], [("b", 1)]]), "class 1: " + LABEL.format("tuple")),
     "chain-nested-tuple-label": (lambda: Chain([[(("a", "a"), "a")]]), "class 0: " + LABEL.format("tuple")),
+    # Where position carries meaning, a set or a mapping would be read in hash order.
+    "chain-set-of-classes": (lambda: Chain({("a",), ("b",), ("c",)}), "classes is a set, not a list of classes"),
+    "chain-dict-of-classes": (lambda: Chain({("a",): 1, ("b",): 2}), "classes is a dict, not a list of classes"),
+    "set-lower-vector": (lambda: PBox(CHAIN, {"0", "1/4", "1"}, ["1/2", "1/2", "1"]), "lower is a set, not a list of values"),
+    "frozenset-upper-vector": (lambda: PBox(TWO, ["0", "1"], frozenset({"1/2", "1"})), "upper is a frozenset, not a list of values"),
+    "dict-upper-vector": (lambda: PBox(TWO, ["0", "1"], {"1/2": 0, "1": 1}), "upper is a dict, not a list of values"),
+    "set-rectangle": (
+        lambda: combine_rectangle(FAMILY, {frozenset({"a"}), frozenset({"b"})}, "frechet"), "rectangle is a set, not a list of events"
+    ),
+    "dict-rectangle": (
+        lambda: combine_rectangle(FAMILY, {frozenset({"a"}): 0, frozenset({"b"}): 1}, "frechet"), "rectangle is a dict, not a list of events"
+    ),
     **{f"string-{ask.__name__}": (lambda ask=ask: ask("ac"), STRING_EVENT.format("ac")) for ask in EVENT_ASKS},
     "string-of-a-label-classes_hit": (lambda: Chain([["ab"], ["c"]]).classes_hit("ab"), STRING_EVENT.format("ab")),
     "string-of-a-label-measure": (lambda: AB.measure("ab"), STRING_EVENT.format("ab")),

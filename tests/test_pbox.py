@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from conftest import TIED_CHAINS, every_event
 from test_contract import BAD_BOXES, assert_refusal
+from test_rationals import Text
 
 import possbox.rationals
 from possbox import Chain, PBox
@@ -88,6 +90,53 @@ def test_error_lines_cut_long_values(chain3):
     # In either vector the line keeps the head of a long value and counts its characters.
     assert_refusal(lambda: PBox(chain3, ["0", "0", "1"], ["1/2", "1e400", "1"]), f"upper[1] = {LONG_VALUE} outside [0, 1]")
     assert_refusal(lambda: PBox(chain3, ["0", "1e400", "1"], ["1/2", "1", "1"]), f"lower[1] = {LONG_VALUE} outside [0, 1]")
+
+
+def refused_first(lower, upper):
+    """The line a box on three classes is refused with, its checks run in order, or ``None``.
+
+    The order: range then monotonicity of lower, the same of upper, lower
+    <= upper index by index, then the top class.
+    """
+    for name, vec in (("lower", lower), ("upper", upper)):
+        outside = next((i for i, v in enumerate(vec) if not 0 <= v <= 1), None)
+        if outside is not None:
+            return f"{name}[{outside}] = {vec[outside]} outside [0, 1]"
+        if any(b < a for a, b in zip(vec, vec[1:])):
+            return f"{name} cumulative vector must be non-decreasing"
+    crossed = next((i for i in range(3) if lower[i] > upper[i]), None)
+    if crossed is not None:
+        return f"lower[{crossed}] = {lower[crossed]} exceeds upper[{crossed}] = {upper[crossed]}"
+    if lower[2] != 1 or upper[2] != 1:
+        return "both cumulative vectors must equal 1 at the top class"
+    return None
+
+
+def test_every_small_box_is_built_or_refused_for_its_first_fault(chain3):
+    # 125 x 125 pairs of vectors over five values, two of them outside [0, 1].
+    vectors = list(product(("-1/2", "0", "1/2", "1", "3/2"), repeat=3))
+    wrong = []
+    for lower in vectors:
+        for upper in vectors:
+            try:
+                PBox(chain3, lower, upper)
+                line = None
+            except ValueError as exc:
+                line = str(exc)
+            expected = refused_first([Fraction(v) for v in lower], [Fraction(v) for v in upper])
+            if line != expected:
+                wrong.append((lower, upper, line, expected))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("lower, upper, line", [*BAD_BOXES.values(), (["0", "1/2", "1"], ["1/2", "0.5", "1"], None)])
+def test_a_str_subclass_builds_and_is_refused_as_a_str(chain3, lower, upper, line):
+    # A build keys only exact str values, so it reads each of these through exact entry by entry.
+    as_text = [[Text(v) if isinstance(v, str) else v for v in vec] for vec in (lower, upper)]
+    if line is None:
+        assert PBox(chain3, *as_text) == PBox(chain3, lower, upper)
+    else:
+        assert_refusal(lambda: PBox(chain3, *as_text), line)
 
 
 def test_exact_bounds_decimal_strings():

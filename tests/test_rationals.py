@@ -114,3 +114,18 @@ NOT_STRINGS = (
 @pytest.mark.parametrize("value, expected", NOT_STRINGS, ids=[repr(value) for value, _ in NOT_STRINGS])
 def test_exact_hands_only_rationals_to_fraction(value, expected):
     assert read(value) == expected
+
+
+class Text(str):
+    """A ``str`` subclass: ``exact`` reads it by the string syntax, not as a number."""
+
+
+def test_a_str_subclass_is_read_and_refused_as_a_str():
+    def outcome(value):
+        try:
+            return exact(value)
+        except ValueError as exc:
+            return str(exc)
+
+    for text, _ in NUMBER_SYNTAX:
+        assert outcome(Text(text)) == outcome(text), text
