@@ -14,29 +14,30 @@ or a rectangle only through its vector of marginal values.
 :meth:`MarginalFamily.vectors` lists each such vector with its largest
 value ``z``, its smallest value ``w`` and the product points that have it,
 in one table built on the first call, and refused past
-:data:`MAX_POINTS` points before anything is built: the three joints,
-:func:`least_conservative_check` and the ``multivariate`` verification
-suite all read that table.  A joint works out its value once per vector and
-checks each distinct value once.
+:data:`MAX_POINTS` points before anything is built.  Its values are kept
+as numerators over one integer denominator ``d``, and the three joints,
+:func:`least_conservative_check` and the ``multivariate`` suite work out
+``z``, ``z ** n`` and ``d ** n - (d - w) ** n`` on them, one
+:class:`~fractions.Fraction` per distinct value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from possbox.chain import _refuse_unordered
-from possbox.possibility import PossibilityDistribution, value_levels
-from possbox.rationals import ONE, shown
+from possbox.possibility import PossibilityDistribution
+from possbox.rationals import shown
 
 #: Most product points a family's :meth:`~MarginalFamily.vectors` table may
 #: cover: the product of the domain sizes.  A joint holds a value per point,
 #: and the command line prints each, so the work and the output grow with it:
 #: ``possbox joint --rule rsi`` on 2**14 points (14 two-label marginals) took
-#: 0.35 s in-process and wrote 0.69 MB on a shared 2-vCPU host (Python 3.11),
-#: 2**16 points took 1.7 s and 3.0 MB.
+#: 0.13 s in-process and wrote 0.69 MB on a shared 2-vCPU host (Python 3.11.7),
+#: 2**16 points took 0.37 s and 3.0 MB (best of five each).
 MAX_POINTS = 2**14
 
 #: Rule name -> (rectangle combination, least-conservative joint value at score z of n marginals).
@@ -58,7 +59,7 @@ class MarginalFamily:
     :meth:`vectors` does, once.
     """
 
-    __slots__ = ("marginals", "domains", "_vectors")
+    __slots__ = ("marginals", "domains", "_integers", "_vectors")
 
     def __init__(self, marginals: Iterable[PossibilityDistribution]):
         self.marginals = tuple(marginals)
@@ -70,8 +71,8 @@ class MarginalFamily:
             joint_key = next((label for label in m if isinstance(label, tuple)), None)
             if joint_key is not None:
                 raise ValueError(f"marginal {i} has the point key {shown(joint_key, repr)}: a joint is not a marginal")
-        self.domains = tuple(tuple(sorted(m.labels, key=repr)) for m in self.marginals)
-        self._vectors = None
+        self.domains = tuple(m._sorted_levels()[0] for m in self.marginals)
+        self._integers = self._vectors = None
 
     def points(self) -> Iterator[tuple]:
         """All product points, in deterministic order."""
@@ -85,10 +86,10 @@ class MarginalFamily:
         :meth:`points` order; together the points are every product point,
         each once.  Vectors come in lexicographic order, each component
         running over its marginal's distinct values in ascending order.  The
-        table is built on the first call, which groups each marginal's
-        labels by value; later calls return the same table.  A family of
-        more than :data:`MAX_POINTS` product points raises ``ValueError``
-        before anything is built.
+        table is built on the first call, from :meth:`_integer_vectors`;
+        later calls return the same table.  A family of more than
+        :data:`MAX_POINTS` product points raises ``ValueError`` before
+        anything is built.
 
         >>> pi1 = PossibilityDistribution({"u": "1/2", "v": 1, "w": "1/2"})
         >>> pi2 = PossibilityDistribution({"s": "3/10", "t": 1})
@@ -98,37 +99,44 @@ class MarginalFamily:
         ['1/2', '1'] 1 1/2 (('u', 't'), ('w', 't'))
         """
         if self._vectors is None:
-            points = 1
-            for domain in self.domains:
-                points *= len(domain)
-                if points > MAX_POINTS:
-                    raise ValueError(f"the product space has more than MAX_POINTS = {MAX_POINTS} points")
-            table = []
-            for combo in product(*map(value_levels, self.marginals, self.domains)):
-                values = tuple(v for v, _ in combo)
-                points = tuple(product(*(labels for _, labels in combo)))
-                table.append((values, max(values), min(values), points))
-            self._vectors = tuple(table)
+            d, rows = self._integer_vectors()
+            value = {k: Fraction(k, d) for k in {k for ks, *_ in rows for k in ks}}
+            self._vectors = tuple((tuple(map(value.get, ks)), value[z], value[w], points) for ks, z, w, points in rows)
         return self._vectors
+
+    def _integer_vectors(self) -> tuple[int, tuple[tuple[tuple[int, ...], int, int, tuple[tuple, ...]], ...]]:
+        """:meth:`vectors` as ``(d, rows)``, each value a numerator over the common denominator ``d``; kept."""
+        if self._integers is None:
+            if prod(map(len, self.domains)) > MAX_POINTS:
+                raise ValueError(f"the product space has more than MAX_POINTS = {MAX_POINTS} points")
+            levels = [m._sorted_levels()[1] for m in self.marginals]
+            d = lcm(*{v.denominator for marginal in levels for v, _ in marginal})
+            rows = []
+            for combo in product(*([(v.numerator * (d // v.denominator), ls) for v, ls in lv] for lv in levels)):
+                ks, groups = zip(*combo)
+                rows.append((ks, max(ks), min(ks), tuple(product(*groups))))
+            self._integers = d, tuple(rows)
+        return self._integers
 
 
 def _build_joint(family: MarginalFamily, score) -> PossibilityDistribution:
-    """The joint whose value at a product point is ``score(z, w)`` of the point's vector.
+    """The joint whose value at a product point is ``Fraction(*score(z, w, d))`` of the point's vector.
 
-    The score is worked out once per vector and each distinct value is
-    checked once (:meth:`PossibilityDistribution._checked`), with the
-    constructor's messages naming the first point of the first vector that
-    has the value.  The labels keep :meth:`MarginalFamily.points` order.
+    ``z`` and ``w`` are numerators over ``d`` (:meth:`MarginalFamily._integer_vectors`).
+    The score is worked out once per vector, one :class:`Fraction` is made
+    per distinct pair and checked once (:meth:`PossibilityDistribution._checked`),
+    with the constructor's messages naming the first point of the first
+    vector that has the value.  The labels keep :meth:`MarginalFamily.points` order.
     """
-    table = family.vectors()
+    d, rows = family._integer_vectors()
     values = dict.fromkeys(family.points())
-    distinct: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
-    for _, z, w, points in table:
-        value = score(z, w)
-        for point in points:
-            values[point] = value
-        distinct.setdefault((value.numerator, value.denominator), (value, points[0]))
-    return PossibilityDistribution._checked(values, distinct.values())
+    made: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
+    for _, z, w, points in rows:
+        pair = score(z, w, d)
+        if pair not in made:
+            made[pair] = Fraction(*pair), points[0]
+        values.update(dict.fromkeys(points, made[pair][0]))
+    return PossibilityDistribution._checked(values, made.values())
 
 
 def joint_frechet(family: MarginalFamily) -> PossibilityDistribution:
@@ -139,7 +147,7 @@ def joint_frechet(family: MarginalFamily) -> PossibilityDistribution:
     >>> joint_frechet(MarginalFamily([pi1, pi2]))[("u", "s")]
     Fraction(1, 2)
     """
-    return _build_joint(family, lambda z, w: z)
+    return _build_joint(family, lambda z, w, d: (z, d))
 
 
 def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
@@ -151,7 +159,7 @@ def joint_independent(family: MarginalFamily) -> PossibilityDistribution:
     Fraction(1, 4)
     """
     n = len(family.marginals)
-    return _build_joint(family, lambda z, w: z**n)
+    return _build_joint(family, lambda z, w, d: (z**n, d**n))
 
 
 def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
@@ -163,7 +171,7 @@ def joint_rsi_outer(family: MarginalFamily) -> PossibilityDistribution:
     Fraction(51, 100)
     """
     n = len(family.marginals)
-    return _build_joint(family, lambda z, w: ONE - (ONE - w) ** n)
+    return _build_joint(family, lambda z, w, d: (d**n - (d - w) ** n, d**n))
 
 
 #: Joint constructions by name (the command line's ``joint --rule`` choices).
@@ -230,13 +238,14 @@ def least_conservative_check(
     """
     least = _rule(rule)[1]
     n = len(family.marginals)
-    table = family.vectors()
-    if sum(len(row[3]) for row in table) != len(joint) or not all(map(joint.__contains__, family.points())):
+    d, rows = family._integer_vectors()
+    if sum(len(row[3]) for row in rows) != len(joint) or not all(map(joint.__contains__, family.points())):
         raise ValueError("joint does not live on this family's product space")
 
-    for _, z, _, points in table:
-        canonical = least(z, n)
-        num, den = canonical.numerator, canonical.denominator
+    # The score z / d goes to least(z, n) / least(d, n) under either rule: one Fraction per distinct z.
+    canonical = {z: Fraction(least(z, n), least(d, n)).as_integer_ratio() for z in {row[1] for row in rows}}
+    for _, z, _, points in rows:
+        num, den = canonical[z]
         for point in points:
             value = joint[point]
             if value.numerator != num or value.denominator != den:

@@ -55,7 +55,7 @@ class PossibilityDistribution:
     Fraction(0, 1)
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_levels")
 
     def __init__(self, values: Mapping[Hashable, object]):
         if not values:
@@ -67,6 +67,7 @@ class PossibilityDistribution:
         # caller's order with any fault is the one named.
         _check_values((converted.setdefault(_label(label), exact(raw)), label) for label, raw in values.items())
         self._values = converted
+        self._levels = None
 
     @classmethod
     def _checked(
@@ -82,7 +83,15 @@ class PossibilityDistribution:
         _check_values(levels)
         pi = cls.__new__(cls)
         pi._values = values
+        pi._levels = None
         return pi
+
+    def _sorted_levels(self) -> tuple[tuple, tuple[tuple[Fraction, tuple], ...]]:
+        """The labels sorted by ``repr`` and :func:`value_levels` in that order, made once for all families."""
+        if self._levels is None:
+            labels = tuple(sorted(self._values, key=repr))
+            self._levels = labels, value_levels(self, labels)
+        return self._levels
 
     def __getitem__(self, label: Hashable) -> Fraction:
         try:

@@ -275,7 +275,7 @@ def suite_roundtrip(
             upper = box.upper(event)
             possibility = pi.measure(event)
             report.checks += 1
-            if upper != possibility:
+            if upper.numerator != possibility.numerator or upper.denominator != possibility.denominator:
                 return report.fail(
                     pi=pi_document(pi),
                     event=event,
@@ -295,7 +295,7 @@ def suite_roundtrip(
             possibility = pi.measure(event)
             upper = box.upper(event)
             report.checks += 1
-            if possibility != upper:
+            if possibility.numerator != upper.numerator or possibility.denominator != upper.denominator:
                 return report.fail(
                     document=pbox_document(box),
                     event=event,
@@ -394,10 +394,10 @@ def suite_multivariate(
       compares each joint with ``z`` or ``z ** n`` at every product point),
       counted as one check per call and one per point it compares;
     * one pass over the family's vectors of coordinate values
-      (:meth:`~possbox.multivariate.MarginalFamily.vectors`), where every
-      expected value comes from a table local to the call, with one entry
-      per distinct vector across all families, keyed on the vector's
-      numerator and denominator pairs:
+      (:meth:`~possbox.multivariate.MarginalFamily.vectors`, on integers),
+      where every expected value comes from a table local to the call, with
+      one entry per distinct vector across all families, keyed on the
+      vector's numerators over ``grid_den``:
 
       - rectangle dominance of the random-set outer bound over independent
         products.  A rectangle of non-empty events has a vector of
@@ -417,10 +417,9 @@ def suite_multivariate(
     """
     report = SuiteReport("multivariate")
     pool = _canonical_marginals(max_size, grid_den)
-    half = Fraction(1, 2)
-    # Exact vector key -> the outer bound's numerator and denominator, whether
-    # it fails rectangle dominance, and the two regime flags.
-    expected: dict[tuple[tuple[int, int], ...], tuple[int, int, bool, bool, bool]] = {}
+    # Vector of numerators over grid_den -> the outer bound's numerator and
+    # denominator, whether it fails rectangle dominance, and the two regime flags.
+    expected: dict[tuple[int, ...], tuple[int, int, bool, bool, bool]] = {}
     for n in marginal_counts:
         for chosen in product(pool, repeat=n):
             family = MarginalFamily(chosen)
@@ -442,20 +441,21 @@ def suite_multivariate(
                 )
 
             report.checks += prod(2 ** len(domain) - 1 for domain in family.domains)
-            for values, z, w, points in family.vectors():
-                key = tuple((v.numerator, v.denominator) for v in values)
+            d, rows = family._integer_vectors()
+            for ks, z, w, points in rows:
+                key = ks if d == grid_den else tuple(k * (grid_den // d) for k in ks)
                 entry = expected.get(key)
                 if entry is None:
-                    outer = ONE - (ONE - w) ** n
-                    at_one = ONE in values
+                    outer = ONE - (ONE - Fraction(w, d)) ** n
+                    at_one = z == d
                     # The "below one half" regime is only claimed here for a level
                     # point: with very unequal coordinates (say 1/12 and 5/12) the
                     # product-form bound can lose even though all values are small.
-                    below_half = ZERO < w and z < half and w == z
+                    below_half = 0 < w == z and 2 * z < d
                     entry = expected[key] = (
                         outer.numerator,
                         outer.denominator,
-                        outer < prod(values),
+                        outer < prod([Fraction(k, grid_den) for k in key]),
                         at_one,
                         below_half,
                     )

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from conftest import every_event
@@ -16,8 +16,10 @@ from possbox import (
     least_conservative_check,
     possibility_to_pbox,
 )
+from possbox import multivariate, possibility
 from possbox.multivariate import _build_joint
-from possbox.verify import _canonical_marginals
+from possbox.possibility import value_levels
+from possbox.verify import _canonical_marginals, suite_multivariate
 
 
 @pytest.fixture
@@ -292,9 +294,14 @@ MIXED_MARGINALS = (
         {"x": "1/3", "y": "12345678901/2305843009213693951", "z": "1", "w": "999999937/1000000007"}
     ),
 )
+#: Two marginals on the grid of twelfths whose denominators are 1, 2, 3, 4, 6 and 12, with a tie.
+TWELFTHS = (
+    PossibilityDistribution({"a": "1/12", "b": "1/6", "c": "1/4", "d": "1", "e": "1/4"}),
+    PossibilityDistribution({"p": "0", "q": "1/3", "r": "1/2", "s": "2/3", "t": "1"}),
+)
 MIXED_FAMILIES = [
     MarginalFamily(chosen) for n in (1, 2, 3) for chosen in product(MIXED_MARGINALS, repeat=n)
-]
+] + [MarginalFamily(TWELFTHS)]
 
 
 def _point_values(family, point):
@@ -319,6 +326,36 @@ def test_joints_on_mixed_denominators_match_a_per_point_reference(family):
     assert canonical_for_both == (n == 1)
 
 
+@pytest.mark.parametrize("family", MIXED_FAMILIES, ids=lambda family: f"n{len(family.marginals)}")
+def test_integer_extremes_match_the_fraction_max_and_min(family):
+    # The table ranks values as numerators over one denominator d; z and w must be what
+    # Fraction max and min pick, however far apart the marginals' denominators are.
+    d, rows = family._integer_vectors()
+    assert d == lcm(*(pi[x].denominator for pi, domain in zip(family.marginals, family.domains) for x in domain))
+    for (values, z, w, points), (numerators, z_num, w_num, same_points) in zip(family.vectors(), rows, strict=True):
+        assert (type(z), type(w)) == (Fraction, Fraction)
+        assert (z, w) == (max(values), min(values))
+        assert numerators == tuple(v * d for v in values) and (z_num, w_num) == (z * d, w * d)
+        assert points is same_points
+
+
+def test_the_multivariate_suite_groups_each_pool_marginal_once(monkeypatch):
+    # At the benchmark size the pool holds 10 marginals; grouping them per family instead
+    # would make 3,200 calls, two for each of 100 pairs and three for each of 1,000 triples.
+    grouped = Counter()
+
+    def counting(pi, labels):
+        grouped[id(pi)] += 1
+        return value_levels(pi, labels)
+
+    # Patched also where a module imports it by name.
+    monkeypatch.setattr(possibility, "value_levels", counting)
+    monkeypatch.setattr(multivariate, "value_levels", counting, raising=False)
+    assert len(_canonical_marginals(3, 2)) == 10
+    assert suite_multivariate(3, 2, (2, 3)).summary() == "suite multivariate: ok (1100 cases, 225662 checks)"
+    assert len(grouped) == 10 and set(grouped.values()) == {1}
+
+
 def _constructor_message(values):
     with pytest.raises(ValueError) as raised:
         PossibilityDistribution(values)
@@ -335,11 +372,12 @@ def test_build_joint_checks_each_value_with_the_constructor_messages(family):
     # The first vector with w < z holds the first 3/2, at its first point.
     label = next(points[0] for _, z, w, points in family.vectors() if w < z)
     with pytest.raises(ValueError) as raised:
-        _build_joint(family, lambda z, w: above if w < z else z)
+        # The score reads numerators over the family's denominator d and returns a (numerator, denominator) pair.
+        _build_joint(family, lambda z, w, d: (3 * d, 2 * d) if w < z else (z, d))
     assert str(raised.value) == _constructor_message({label: above})
     assert str(raised.value).startswith("value 3/2 for ")
 
     halved = {point: max(_point_values(family, point)) / 2 for point in family.points()}
     with pytest.raises(ValueError) as raised:
-        _build_joint(family, lambda z, w: z / 2)
+        _build_joint(family, lambda z, w, d: (z, 2 * d))
     assert str(raised.value) == _constructor_message(halved) == "a possibility distribution must attain the value 1"
