@@ -7,18 +7,18 @@ obtained by maximizing with an exact simplex (Bland's rule, no floating
 point anywhere).  The verification suites compare these optima against the
 formula route; a disagreement means one side is wrong.
 
-The simplex runs on an integer tableau: each row is scaled to integers and
-pivots are fraction-free (Bareiss 1968; Edmonds), so every entry is an
-integer numerator over one common denominator and no ``Fraction`` is built
-until the optimum is returned.  Callers ask many objectives over one
+The simplex runs on an integer tableau: each row's coefficients are scaled
+to integers, every right-hand side is put over one denominator kept aside,
+and pivots are fraction-free (Bareiss 1968; Edmonds), so no ``Fraction`` is
+built until the optimum is returned.  A box's rows are 0/1 intervals, a
+totally unimodular matrix (Hoffman and Kruskal 1956), so each of its pivots
+is 1 or -1 over the denominator 1.  Callers ask many objectives over one
 region (every event of one box): a :class:`Region` runs phase 1 once, when
 built, and keeps one basis, its ``start``.  Each call given the region runs
 phase 2 alone from ``start`` and stores its optimal basis there.  Any basis
 of the region is feasible for every objective, Bland's rule terminates from
 it and the optimal value is unique, so answers never depend on call order;
-only pivot counts do.
-The credal routines keep the last box's region in one slot, keyed on the
-box's identity (a box is immutable and exact).
+only pivot counts do.  The credal routines keep the last box's region.
 
 Masses live on elements, one variable each, listed class by class, so a
 chain of singleton classes has one variable per class.  The programs never
@@ -38,7 +38,8 @@ from possbox.pbox import PBox
 from possbox.possibility import PossibilityDistribution
 from possbox.rationals import ONE, ZERO, exact, shown
 
-Row = tuple[Sequence[Fraction], str, Fraction]
+#: ``(coefficients, sense, rhs)``: exact rationals as ``exact`` reads them, an ``int`` read as it is.
+Row = tuple[Sequence[object], str, object]
 #: An upper probability of a union of classes, given as a sorted index tuple.
 ClassUpper = Callable[[PBox, tuple[int, ...]], Fraction]
 
@@ -59,35 +60,38 @@ class Infeasible(Exception):
 class Region:
     """A linear system's rows, as given and read once through ``exact``, and its phase 1.
 
-    ``start`` is the feasible basis phase 2 starts from, ``None`` if the
-    region is empty: a ``(tableau, basis, d)`` triple whose tableau holds
-    integer numerators over the common denominator ``d > 0``, artificial
-    columns removed and the right-hand side last, with ``basis`` its basic
-    columns.  It is phase 1's basis until :func:`simplex_max` stores the
-    last optimum found on the region.  ``width`` counts the structural and
-    slack columns.  Rows are never mutated in place, so a copy of the outer
-    sequence is a copy of the tableau.
+    Each row is scaled by the lcm of its coefficients' denominators (1 on a
+    box's 0/1 rows), and every right-hand side is put over one denominator,
+    ``_rhs_den``.  Neither changes a reduced-cost sign, ratio order or tie
+    in phase 2; phase 1 weighs each artificial by its row's scale.
+    ``start`` is the basis phase 2 starts from, ``None`` if the region is
+    empty: a ``(tableau, basis, d)`` triple of ``int`` entries, the tableau
+    ``d`` times the scaled system's (``d > 0`` is ``|det|`` of the basis),
+    artificial columns removed and the right-hand side last.  It is phase
+    1's basis until :func:`simplex_max` stores the last optimum found on
+    it.  ``width`` counts the structural and slack columns.  Rows are never
+    mutated in place, so a copy of the outer sequence is a copy of the tableau.
     """
 
     def __init__(self, num_vars: int, constraints: Iterable[Row]):
         self.num_vars = num_vars
         self.constraints = tuple(constraints)
         self.start = None
-        scaled: list[tuple[list[int], str, int]] = []
+        scaled: list[tuple[list[int], str, int | Fraction]] = []
         for coeffs, sense, rhs in self.constraints:
             if len(coeffs) != num_vars:
                 raise ValueError("constraint width does not match the variable count")
             if sense not in _FLIPPED:
                 raise ValueError(f"unknown constraint sense {sense!r}")
-            row = [exact(c) for c in coeffs]
-            rhs = exact(rhs)
+            row = [c if type(c) is int else exact(c) for c in coeffs]
+            rhs = rhs if type(rhs) is int else exact(rhs)
             if rhs < 0:
-                row = [-c for c in row]
-                rhs = -rhs
-                sense = _FLIPPED[sense]
-            scale = lcm(rhs.denominator, *(c.denominator for c in row))
-            ints = [c.numerator * (scale // c.denominator) for c in row]
-            scaled.append((ints, sense, rhs.numerator * (scale // rhs.denominator)))
+                row, rhs, sense = [-c for c in row], -rhs, _FLIPPED[sense]
+            # Star-args from lists: CPython builds a generator's tuple outside its tuple
+            # freelist, then frees it onto the freelist, which fills (peak RSS grows).
+            scale = lcm(*[c.denominator for c in row])
+            scaled.append(([c.numerator * (scale // c.denominator) for c in row], sense, rhs * scale))
+        self._rhs_den = den = lcm(*[rhs.denominator for _, _, rhs in scaled])
 
         n_slack = sum(1 for _, sense, _ in scaled if sense != "==")
         n_art = sum(1 for _, sense, _ in scaled if sense != "<=")
@@ -95,18 +99,15 @@ class Region:
 
         tableau: list[list[int]] = []
         basis: list[int] = []
-        slack_i = num_vars
-        art_i = art_start
+        slack_i, art_i = num_vars, art_start
         for ints, sense, rhs in scaled:
-            row = ints + [0] * (n_slack + n_art) + [rhs]
+            row = ints + [0] * (n_slack + n_art) + [rhs.numerator * (den // rhs.denominator)]
             if sense != "==":
                 row[slack_i] = 1 if sense == "<=" else -1
                 slack_i += 1
-            if sense == "<=":
-                basis.append(slack_i - 1)
-            else:
+            basis.append(slack_i - 1 if sense == "<=" else art_i)
+            if sense != "<=":
                 row[art_i] = 1
-                basis.append(art_i)
                 art_i += 1
             tableau.append(row)
 
@@ -135,21 +136,22 @@ class Region:
 
 
 def simplex_max(
-    num_vars: int, constraints: Iterable[Row], objective: Sequence[object],
-    *, region: Region | None = None,
+    num_vars: int, constraints: Iterable[Row], objective: Sequence[object], *, region: Region | None = None
 ) -> Fraction:
     """Maximize ``objective . x`` over ``x >= 0`` subject to ``constraints``.
 
     ``constraints`` are ``(coefficients, sense, rhs)`` with sense one of
     ``"<="``, ``">="``, ``"=="``; coefficients, right-hand sides and costs
-    are exact rationals as :func:`~possbox.rationals.exact` reads them, so a
-    binary float raises ``ValueError``.  Exact two-phase simplex with
-    Bland's anti-cycling rule on an integer fraction-free tableau.  Phase 1
-    runs on a fresh :class:`Region` unless ``region``, built from these same
-    row objects, is given (other rows or ``num_vars`` raise ``ValueError``).
-    Calls given one region start phase 2 from the last optimal basis found
-    on it, and store theirs; the answer never depends on call order.
-    Without ``region`` nothing is remembered.  An infeasible region raises
+    are an ``int``, taken as it is, or an exact rational as
+    :func:`~possbox.rationals.exact` reads it, so a binary float raises
+    ``ValueError``.  Exact two-phase simplex with Bland's anti-cycling rule
+    on an integer fraction-free tableau, the costs put over one denominator;
+    the optimum is the one ``Fraction`` made.  Phase 1 runs on a fresh
+    :class:`Region` unless ``region``, built from these same row objects,
+    is given (other rows or ``num_vars`` raise ``ValueError``).  Calls given
+    one region start phase 2 from the last optimal basis found on it, and
+    store theirs; the answer never depends on call order.  Without
+    ``region`` nothing is remembered.  An infeasible region raises
     :class:`Infeasible`.  A constraint or objective wider than ``num_vars``
     raises ``ValueError``.  Assumes a bounded optimum (every system in this
     module lives inside the probability simplex) and raises
@@ -157,36 +159,36 @@ def simplex_max(
     """
     if region is None:
         region = Region(num_vars, constraints)
-    elif num_vars != region.num_vars or [*map(id, constraints)] != [*map(id, region.constraints)]:
+    elif num_vars != region.num_vars or (
+        constraints is not region.constraints and [*map(id, constraints)] != [*map(id, region.constraints)]
+    ):
         raise ValueError("constraints are not the rows the region was built from")
-    costs = [c if isinstance(c, Fraction) else exact(c) for c in objective]
-    if len(costs) > num_vars:
+    cost = [c if type(c) is int else exact(c) for c in objective]
+    if len(cost) > num_vars:
         raise ValueError("objective width exceeds the variable count")
     if region.start is None:
         raise Infeasible
-    scale = lcm(*(c.denominator for c in costs))
-    cost = [c.numerator * (scale // c.denominator) for c in costs]
+    scale = 1
+    if not all(type(c) is int for c in cost):
+        scale = lcm(*[c.denominator for c in cost])
+        cost = [c.numerator * (scale // c.denominator) for c in cost]
     cost += [0] * (region.width - len(cost))
     start, basis, d = region.start
-    tableau = list(start)
-    basis = list(basis)
+    tableau, basis = list(start), list(basis)
     tableau.append(_objective_row(tableau, basis, cost, d))
     d = _bland(tableau, basis, d)
     value = tableau.pop()[-1]
     region.start = (tableau, basis, d)
-    return Fraction(value, d * scale)
+    return Fraction(value, d * scale * region._rhs_den)
 
 
-def _objective_row(
-    rows: Sequence[list[int]], basis: Sequence[int], cost: list[int], d: int
-) -> list[int]:
+def _objective_row(rows: Sequence[list[int]], basis: Sequence[int], cost: list[int], d: int) -> list[int]:
     """``d`` times the negated reduced costs, and ``d`` times the value last.
 
     Entry ``j`` is ``sum_i cost[basis[i]] * rows[i][j] - d * cost[j]``: a
     negative entry marks an improving column.  It pivots like any row.
     """
-    z = [-c * d for c in cost]
-    z.append(0)
+    z = [-c * d for c in cost] + [0]
     for row, b in zip(rows, basis):
         cb = cost[b]
         if cb:
@@ -195,10 +197,7 @@ def _objective_row(
 
 
 def _bland(tableau: list[list[int]], basis: list[int], d: int) -> int:
-    """Pivot to optimality by Bland's rule; the last row is the objective.
-
-    Returns the final common denominator.
-    """
+    """Pivot to optimality by Bland's rule (the last row is the objective); return the final ``d``."""
     n_rows = len(tableau) - 1
     while True:
         z = tableau[-1]
@@ -209,15 +208,10 @@ def _bland(tableau: list[list[int]], basis: list[int], d: int) -> int:
         for i in range(n_rows):
             row = tableau[i]
             a = row[enter]
-            if a > 0:
-                # Ratios rhs / a compared by cross-multiplying (a > 0, best_a > 0).
-                if leave < 0:
-                    leave, best_rhs, best_a = i, row[-1], a
-                    continue
-                lhs = row[-1] * best_a
-                rhs = best_rhs * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_rhs, best_a = i, row[-1], a
+            # Ratios rhs / a compared by cross-multiplying (a > 0, best_a > 0),
+            # a tie going to the lower basic column.
+            if a > 0 and (leave < 0 or (row[-1] * best_a, basis[i]) < (best_rhs * a, basis[leave])):
+                leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
             raise ArithmeticError("unbounded objective in a credal program")
         d = _pivot(tableau, basis, leave, enter, d)
@@ -231,23 +225,26 @@ def _pivot(
     Every row but the pivot row becomes ``(row * p - row[col] * pivot) // d``
     with ``p`` the pivot entry, and ``p`` becomes the denominator.  The
     division is exact because each entry is a minor of the scaled integer
-    system.  A negative pivot negates the whole tableau to keep ``d > 0``.
-    Rows are replaced, never mutated.
+    system.  A negative pivot negates the whole tableau to keep ``d > 0``,
+    folded in by negating the pivot row first.  A unit pivot (``p == d ==
+    1``, every pivot on a box) subtracts.  Rows are replaced, never mutated.
     """
     pivot = tableau[pivot_row]
     p = pivot[pivot_col]
+    if p < 0:
+        pivot = tableau[pivot_row] = [-v for v in pivot]
+        p = -p
     for i, row in enumerate(tableau):
         if i == pivot_row:
             continue
         f = row[pivot_col]
-        if f:
+        if f and p == d == 1:
+            tableau[i] = [v - f * w for v, w in zip(row, pivot)]
+        elif f:
             tableau[i] = [(v * p - f * w) // d for v, w in zip(row, pivot)]
         elif p != d:
             tableau[i] = [v * p // d for v in row]
     basis[pivot_row] = pivot_col
-    if p < 0:
-        tableau[:] = [[-v for v in row] for row in tableau]
-        p = -p
     return p
 
 
@@ -263,12 +260,12 @@ def _box_region(box: PBox) -> Region:
     """The box's credal set: cumulative constraints on element masses, class by class.
 
     The mass variables follow :meth:`possbox.chain.Chain.labels_by_class`,
-    and the prefix row of class ``i`` sums the masses of classes ``0..i``.
+    and the prefix row of class ``i``, of ``int`` 0s and 1s, sums the masses
+    of classes ``0..i``.
     Rows that cannot bind are dropped: a lower bound of 0 is implied by
     nonnegativity and an upper bound of 1 below the top by the total mass.
-    The top class carries the total-mass equality.  One slot keeps the
-    region of the last box asked about; a box is immutable and exact, so
-    its identity is key enough, and no call hashes its vectors.
+    The top class carries the total-mass equality.  A box is immutable and
+    exact, so :data:`_slot` is keyed on its identity and hashes no vector.
     """
     global _slot
     slot_box, region = _slot
@@ -280,12 +277,12 @@ def _box_region(box: PBox) -> Region:
     covered = 0
     for i in range(box.chain.m - 1):
         covered += sizes[i]
-        prefix = [ONE] * covered + [ZERO] * (n - covered)
+        prefix = [1] * covered + [0] * (n - covered)
         if box.upper_cdf[i] != ONE:
             rows.append((prefix, "<=", box.upper_cdf[i]))
         if box.lower_cdf[i] != ZERO:
             rows.append((prefix, ">=", box.lower_cdf[i]))
-    rows.append(([ONE] * n, "==", ONE))
+    rows.append(([1] * n, "==", 1))
     region = Region(n, rows)
     if region.start is None:  # pragma: no cover - valid boxes always admit a distribution
         raise RuntimeError("credal set of a valid probability box came up empty")
@@ -309,9 +306,7 @@ def credal_upper_classes(box: PBox, indices: Iterable[int]) -> Fraction:
     for i in sorted(hit):
         if not 0 <= i < box.chain.m:
             raise ValueError(f"class index {shown(i)} out of range")
-    objective = [ONE if i in hit else ZERO for i, cls in enumerate(box.chain.classes) for _ in cls]
-    region = _box_region(box)
-    return simplex_max(region.num_vars, region.constraints, objective, region=region)
+    return _box_max(box, [1 if i in hit else 0 for i, cls in enumerate(box.chain.classes) for _ in cls])
 
 
 def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
@@ -328,14 +323,24 @@ def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
     hit = box.chain.event(event)
     if not hit:
         return ZERO
-    objective = [ONE if label in hit else ZERO for _, label in box.chain.labels_by_class()]
-    region = _box_region(box)
-    return simplex_max(region.num_vars, region.constraints, objective, region=region)
+    return _box_max(box, [1 if label in hit else 0 for _, label in box.chain.labels_by_class()])
 
 
 def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
-    """Minimum probability of an event over the credal set, by conjugacy."""
-    return ONE - credal_upper(box, box.chain.complement(event))
+    """Minimum probability of an event over the credal set: one minus the most mass off it.
+
+    Its objective is 1 on each element outside the event, read off the
+    labels; it takes no ``Chain.complement``, which the closed forms use.
+    """
+    hit = box.chain.event(event)
+    outside = [0 if label in hit else 1 for _, label in box.chain.labels_by_class()]
+    return ONE - _box_max(box, outside) if any(outside) else ONE
+
+
+def _box_max(box: PBox, objective: list[int]) -> Fraction:
+    """The LP optimum of an ``int`` objective over the box's region, through ``simplex_max``."""
+    region = _box_region(box)
+    return simplex_max(region.num_vars, region.constraints, objective, region=region)
 
 
 # ------------------------------------------------------------ whole-model checks
@@ -377,11 +382,7 @@ def exhaustive_max_preserving(box: PBox) -> bool:
     return all(value[a | b] == max(value[a], value[b]) for a in masks for b in masks)
 
 
-def credal_intersection_equal(
-    box: PBox,
-    pi_one: PossibilityDistribution,
-    pi_two: PossibilityDistribution,
-) -> bool:
+def credal_intersection_equal(box: PBox, pi_one: PossibilityDistribution, pi_two: PossibilityDistribution) -> bool:
     """Does the box's credal set equal the two distributions' joint credal set?
 
     Builds both constraint systems at element level -- the box's cumulative
@@ -398,19 +399,17 @@ def credal_intersection_equal(
     n = len(elements)
     if n > MAX_ELEMENTS:
         raise ValueError(f"space has {n} elements; refusing to enumerate beyond {MAX_ELEMENTS}")
-    poss_rows: list[Row] = [([ONE] * n, "==", ONE)]
-    objectives: list[list[Fraction]] = []
+    poss_rows: list[Row] = [([1] * n, "==", 1)]
+    objectives: list[list[int]] = []
     for subset in class_subsets(n)[1:]:
-        indicator = [ONE if k in subset else ZERO for k in range(n)]
+        indicator = [1 if k in subset else 0 for k in range(n)]
         objectives.append(indicator)
         members = [elements[k] for k in subset]
         for pi in (pi_one, pi_two):
             bound = pi.measure(members)
             if bound != ONE:
                 poss_rows.append((indicator, "<=", bound))
-
-    box_region = _box_region(box)
-    poss_region = Region(n, poss_rows)
+    box_region, poss_region = _box_region(box), Region(n, poss_rows)
     return all(
         simplex_max(n, box_region.constraints, objective, region=box_region)
         == simplex_max(n, poss_region.constraints, objective, region=poss_region)

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 import re
 import time
 from fractions import Fraction
@@ -24,9 +25,10 @@ from possbox import (
     least_conservative_check,
 )
 from possbox import oracle
-from possbox.chain import class_subsets
+from possbox.chain import Chain, class_subsets
 from possbox.multivariate import MAX_POINTS
 from possbox.oracle import Infeasible, simplex_max
+from possbox.rationals import ONE, ZERO
 from possbox.verify import (
     default_chain,
     iter_chain_pboxes,
@@ -171,12 +173,24 @@ def test_intersection_check_runs_phase_one_once_per_region(p2, regions_built):
     assert len(regions_built) == 2
 
 
-def test_phase_two_starts_from_the_last_optimum(regions_built, pivots):
+def test_phase_two_starts_from_the_last_optimum(regions_built, pivots, monkeypatch):
+    # (pivot entry, denominator) of every pivot.  A box's rows are 0/1
+    # intervals, totally unimodular, so with one right-hand-side denominator
+    # and unscaled rows every pivot is a unit over d = 1.
+    entries = Counter()
+    pivot = oracle._pivot
+
+    def recording(tableau, basis, row, col, d):
+        entries[tableau[row][col], d] += 1
+        return pivot(tableau, basis, row, col, d)
+
+    monkeypatch.setattr(oracle, "_pivot", recording)
     # From the phase-1 basis on every call, phase 2 took 7,964 pivots here.
     report = suite_oracle(4, 4)
     assert report.ok and (report.cases, report.checks) == (611, 13354)
     assert len(regions_built) == 611
     assert pivots == {"phase 1": 2446, "phase 2": 5815}
+    assert entries == {(1, 1): 7972, (-1, 1): 289}
 
 
 def test_warm_optima_equal_cold_on_every_event(grid4_boxes):
@@ -199,6 +213,57 @@ def test_warm_optima_equal_cold_on_every_event(grid4_boxes):
         for order in (range(len(objectives)), reversed(range(len(objectives)))):
             for k in order:
                 assert simplex_max(n, constraints, objectives[k], region=region) == cold[k]
+    assert events == 12462
+
+
+def _int_tableau(region):
+    tableau, basis, d = region.start
+    return all(type(v) is int for v in (*basis, d, *(v for row in tableau for v in row)))
+
+
+def test_the_tableau_holds_ints_however_rows_and_costs_are_written(grid4_boxes, monkeypatch):
+    # A den-1 Fraction in the tableau keeps every answer right but slows
+    # every pivot, so the entries' types are checked, not only the optima.
+    # Every objective row is checked too: it is where the costs go.
+    objective_row = oracle._objective_row
+
+    def int_objective_row(*args):
+        z = objective_row(*args)
+        assert all(type(v) is int for v in z)
+        return z
+
+    monkeypatch.setattr(oracle, "_objective_row", int_objective_row)
+    # Each value as an int where it is whole, as a Fraction (so 3 is Fraction(3, 1)), or as a string.
+    forms = (lambda v: int(v) if v.denominator == 1 else v, Fraction, str)
+
+    def regions(n, rows):
+        return [oracle.Region(n, [([f(c) for c in cs], s, f(r)) for cs, s, r in rows]) for f in forms]
+
+    # max x0 with 3 x0 + x1 / 2 <= 4, x0 / 3 + x1 >= 1/2 and x0 + x1 == 2: x0 = 6/5.
+    rows = [((Fraction(3), Fraction(1, 2)), "<=", Fraction(4)), ((Fraction(1, 3), ONE), ">=", Fraction(1, 2))]
+    written = regions(2, rows + [((ONE, ONE), "==", Fraction(2))])
+    assert [type(region.constraints[0][0][0]) for region in written] == [int, Fraction, str]
+    for region in written:
+        assert _int_tableau(region)
+        costs = [[f(ONE), f(ZERO)] for f in forms]
+        assert [simplex_max(2, region.constraints, c, region=region) for c in costs] == [Fraction(6, 5)] * 3
+        assert _int_tableau(region)
+    # Every event's objective, written the three ways, by element count.
+    objectives = {
+        n: [[[f(Fraction(int(k in subset))) for k in range(n)] for f in forms] for subset in class_subsets(n)]
+        for n in range(1, 6)
+    }
+    events = 0
+    for box in grid4_boxes:
+        rows = oracle._box_region(box).constraints
+        n = len(rows[0][0])
+        written = regions(n, [([Fraction(c) for c in cs], s, r) for cs, s, r in rows])
+        assert all(map(_int_tableau, written))
+        for costs in objectives[n]:
+            optima = {simplex_max(n, r.constraints, c, region=r) for c, r in zip(costs, written)}
+            assert len(optima) == 1
+            events += 1
+        assert all(map(_int_tableau, written))
     assert events == 12462
 
 
@@ -280,6 +345,21 @@ def test_the_oracle_reads_only_the_public_vectors(p2, monkeypatch):
         assert credal_upper(stripped, event) == p2.upper(event)
         assert credal_lower(stripped, event) == p2.lower(event)
     assert oracle.credal_upper_classes(stripped, (0, 2)) == p2.upper({"a", "c"})
+
+
+def test_credal_lower_takes_no_complement_through_the_chain(p2, monkeypatch):
+    # PBox.lower answers through Chain.complement.  The oracle reads the
+    # labels outside the event itself, so a complement that loses "a"
+    # changes PBox.lower alone and the comparison of the two fails.
+    events = every_event(p2.chain.labels)
+    optima = [credal_lower(p2, event) for event in events]
+    assert optima == [p2.lower(event) for event in events]
+    monkeypatch.setattr(Chain, "complement", lambda self, labels: self.labels - self.event(labels) - {"a"})
+    monkeypatch.setattr(oracle, "_slot", (None, None))
+    assert [credal_lower(p2, event) for event in events] == optima
+    assert [event for event in events if credal_lower(p2, event) != p2.lower(event)] == [
+        frozenset(), frozenset({"b"}), frozenset({"c"}), frozenset({"b", "c"})
+    ]
 
 
 #: What oracle.py may import from possbox, by module (None: any name).

@@ -56,6 +56,22 @@ def test_iter_chain_pboxes_counts():
     assert sum(1 for _ in iter_chain_pboxes(default_chain(2), 2)) == 6
 
 
+def test_iter_chain_pboxes_yields_the_fraction_vector_enumeration():
+    # iter_chain_pboxes compares integer numerators; the reference compares
+    # the Fraction vectors themselves.  Same boxes, same order.
+    for grid_den in range(1, 5):
+        for m in range(1, 5):
+            chain = default_chain(m)
+            vectors = list(iter_cdf_vectors(m, grid_values(grid_den)))
+            expected = [
+                pbox_document(PBox(chain, lower, upper))
+                for upper in vectors
+                for lower in vectors
+                if all(lo <= up for lo, up in zip(lower, upper))
+            ]
+            assert [pbox_document(box) for box in iter_chain_pboxes(chain, grid_den)] == expected
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_default_chain_names_its_classes_like_counterexample_events(m):
     # A counterexample's event and its document's classes come from one rule.
