@@ -329,16 +329,15 @@ def credal_upper(box: PBox, event: Iterable[Label]) -> Fraction:
 def credal_lower(box: PBox, event: Iterable[Label]) -> Fraction:
     """Minimum probability of an event over the credal set: one minus the most mass off it.
 
-    Its objective is 1 on each element outside the event, read off the
-    labels; it takes no ``Chain.complement``, which the closed forms use.
+    The objective, 1 on each element outside the event, is read off the
+    labels, not through ``Chain.complement``, which the closed forms use.
     """
     hit = box.chain.event(event)
-    outside = [0 if label in hit else 1 for _, label in box.chain.labels_by_class()]
-    return ONE - _box_max(box, outside) if any(outside) else ONE
+    return ONE - _box_max(box, [0 if label in hit else 1 for _, label in box.chain.labels_by_class()])
 
 
 def _box_max(box: PBox, objective: list[int]) -> Fraction:
-    """The LP optimum of an ``int`` objective over the box's region, through ``simplex_max``."""
+    """:func:`simplex_max` of an ``int`` objective over the box's region."""
     region = _box_region(box)
     return simplex_max(region.num_vars, region.constraints, objective, region=region)
 

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from possbox import oracle
@@ -107,13 +108,12 @@ def iter_cdf_vectors(m: int, values: Sequence[Fraction]) -> Iterator[tuple[Fract
 
 def iter_chain_pboxes(chain: Chain, grid_den: int) -> Iterator[PBox]:
     """Every probability box on ``chain`` with grid values, its vectors compared on numerators over ``grid_den``."""
-    values = grid_values(grid_den)
+    value = grid_values(grid_den).__getitem__
     vectors = [ks for ks in combinations_with_replacement(range(grid_den + 1), chain.m) if ks[-1] == grid_den]
     for upper in vectors:
-        upper_values = [values[k] for k in upper]
         for lower in vectors:
-            if all(lo <= up for lo, up in zip(lower, upper)):
-                yield PBox(chain, [values[k] for k in lower], upper_values)
+            if all(map(le, lower, upper)):
+                yield PBox(chain, map(value, lower), map(value, upper))
 
 
 def _event_labels(subset: Iterable[int]) -> list[str]:

@@ -1,8 +1,8 @@
 import ast
 import random
-from collections import Counter
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
